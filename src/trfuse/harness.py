@@ -15,7 +15,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, to_solver_config
 from .degradation import DegradationModel, add_noise, degrade
 from .metrics import MetricsReport, metrics_report, rescale_pair
-from .solver import FusionResult, solve
+from .solver import FusionResult, check_observations, initial_factors, solve
 from .tensor import mode_n_product
 from .tnsr import read_tnsr, write_tnsr
 
@@ -175,17 +175,23 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Coefficient-zeroing grid over the regularizers, one row per variant.
 
     All variants share the same simulated inputs and initialization, so the
-    rows differ only through the zeroed coefficients.
+    rows differ only through the zeroed coefficients. The initialization
+    depends on no switched coefficient, so it is computed once.
     """
     if cfg.ground_truth is None:
         raise ConfigError("ablate requires a ground_truth path")
     gt, model, y, z = load_inputs(cfg)
+    try:
+        y, z = check_observations(y, z, model)
+        init = initial_factors(y, z, to_solver_config(cfg))
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     rows = []
     for name, overrides in ABLATION_VARIANTS:
         vcfg = replace(cfg, **overrides)
         scfg = to_solver_config(vcfg)
         try:
-            result = solve(y, z, model, scfg)
+            result = solve(y, z, model, scfg, init_factors_override=init)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
         report = _metrics_against(gt, result.fused, cfg.factor)

@@ -121,13 +121,13 @@ def _als_polish(t: np.ndarray, f: TRFactors, nrm: float,
     never increases. Stops at ``tol`` relative error or when 50 sweeps
     improve the error by less than two percent.
     """
+    targets = [unfold_cyclic(t, n).T for n in range(3)]
     err = float(np.linalg.norm(compose(f) - t)) / nrm
     checkpoint = err
     for sweep in range(max_sweeps):
         for n in range(3):
             smat = unfold_cyclic(subchain(f, n), 1)
-            rhs = unfold_cyclic(t, n)
-            g, *_ = np.linalg.lstsq(smat, rhs.T, rcond=None)
+            g, *_ = np.linalg.lstsq(smat, targets[n], rcond=None)
             f = f.replace_core(n, fold(g.T, 1, f.cores[n].shape, "first"))
         err = float(np.linalg.norm(compose(f) - t)) / nrm
         if err < tol:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,10 +85,21 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
+    """One outer iteration.
+
+    inner_sweeps sums the ADMM sweeps of the three blocks, each of which
+    runs one CG solve; cg_iters sums the iterations of those solves, and
+    cg_capped counts the ones that stopped at cg_max with the residual
+    still above cg_tol.
+    """
+
     k: int
     objective: float
     rel_change: float
     seconds: float
+    inner_sweeps: int
+    cg_iters: int
+    cg_capped: int
 
 
 @dataclass
@@ -96,18 +107,6 @@ class FusionResult:
     fused: np.ndarray
     factors: TRFactors
     history: list[IterationRecord]
-
-
-@dataclass
-class SolverState:
-    """Cores plus the last auxiliaries/multipliers of each block's ADMM."""
-
-    cores: list[np.ndarray]
-    aux_r: list = field(default_factory=lambda: [None, None, None])
-    aux_v: list = field(default_factory=lambda: [None, None, None])
-    mult_m: list = field(default_factory=lambda: [None, None, None])
-    mult_n: list = field(default_factory=lambda: [None, None, None])
-    weights: list = field(default_factory=lambda: [None, None, None])
 
 
 def build_difference_matrix(extent: int) -> np.ndarray:
@@ -219,27 +218,33 @@ def build_sylvester_operator(n: int, cores, model: DegradationModel,
 
 
 def _block_rhs_data(n: int, y, z, model: DegradationModel, lam: float, py, pz):
-    """Data part of block n's right-hand side."""
+    """Data part of block n's right-hand side.
+
+    Each observation's unfolding is contracted with its narrow subchain
+    factor before the degradation operator is applied, which keeps every
+    intermediate as small as the core's unfolding.
+    """
     if n == 0:
-        return (model.u1.T @ unfold_cyclic(y, 0) @ py.T
+        return (model.u1.T @ (unfold_cyclic(y, 0) @ py.T)
                 + lam * (unfold_cyclic(z, 0) @ pz.T))
     if n == 1:
-        return (model.u2.T @ unfold_cyclic(y, 1) @ py.T
+        return (model.u2.T @ (unfold_cyclic(y, 1) @ py.T)
                 + lam * (unfold_cyclic(z, 1) @ pz.T))
     return (unfold_cyclic(y, 2) @ py.T
-            + lam * (model.u3.T @ unfold_cyclic(z, 2) @ pz.T))
+            + lam * (model.u3.T @ (unfold_cyclic(z, 2) @ pz.T)))
 
 
-def update_block(n: int, state: SolverState, y: np.ndarray, z: np.ndarray,
-                 model: DegradationModel, cfg: SolverConfig) -> int:
-    """One proximal block update of core n via ADMM sweeps.
+def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
+                 model: DegradationModel, cfg: SolverConfig,
+                 cg_log: list[tuple[int, float]]) -> int:
+    """One proximal block update of core n via ADMM sweeps, in place in ``cores``.
 
     Per sweep: shrink the weighted differences, solve the quadratic system by
     warm-started CG, threshold the low-rank auxiliary, then take a multiplier
     ascent step. Weights are recomputed from the current split variable every
-    sweep. Returns the number of sweeps run.
+    sweep. Appends each CG solve's (iterations, relative residual) to
+    ``cg_log`` and returns the number of sweeps run.
     """
-    cores = state.cores
     core = cores[n]
     shape = core.shape
     anchor_mat = unfold_first(core, 1)
@@ -255,8 +260,6 @@ def update_block(n: int, state: SolverState, y: np.ndarray, z: np.ndarray,
     m = np.zeros(shape)
     nn = np.zeros(shape)
     g_mat = anchor_mat.copy()
-    r = np.zeros(shape)
-    weights = None
     sweeps = 0
     for _ in range(cfg.inner_max):
         sweeps += 1
@@ -266,7 +269,8 @@ def update_block(n: int, state: SolverState, y: np.ndarray, z: np.ndarray,
         rhs = (rhs_static
                + mu * (d.T @ unfold_first(r + m / mu, 1))
                + mu * unfold_first(v + nn / mu, 1))
-        g_mat, _, _ = cg_solve(op.apply, rhs, cfg.cg_tol, cfg.cg_max, x0=g_mat)
+        g_mat, iters, relres = cg_solve(op.apply, rhs, cfg.cg_tol, cfg.cg_max, x0=g_mat)
+        cg_log.append((iters, relres))
         core_new = fold(g_mat, 1, shape)
         v = ltnn_prox(core_new - nn / mu, beta_eff / mu, cfg.eps_log)
         m = m + mu * (r - mode_n_product(core_new, d, 1))
@@ -280,12 +284,7 @@ def update_block(n: int, state: SolverState, y: np.ndarray, z: np.ndarray,
         if step < cfg.inner_tol:
             break
 
-    state.cores[n] = core
-    state.aux_r[n] = r
-    state.aux_v[n] = v
-    state.mult_m[n] = m
-    state.mult_n[n] = nn
-    state.weights[n] = weights
+    cores[n] = core
     return sweeps
 
 
@@ -343,15 +342,12 @@ def initial_factors(y: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> TRFactor
                       _pad_core(fy.cores[2], (r3, bands, r1))))
 
 
-def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
-          cfg: SolverConfig, init_factors_override: TRFactors | None = None
-          ) -> FusionResult:
-    """Run the full outer loop and return the fused cube with its history.
+def check_observations(y: np.ndarray, z: np.ndarray, model: DegradationModel
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Return y and z as float arrays, or raise ValueError.
 
-    Stops when the relative change of the composed estimate falls to
-    stop_tol, or after k_max outer iterations. k_max = 0 returns the
-    composed initialization with an empty history. Non-finite objectives or
-    a collapsed estimate raise SolverDivergenceError.
+    Rejects tensors that are not 3-way, degradation operators whose shapes
+    do not map z's extents onto y's, and NaN or Inf in either observation.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -366,7 +362,25 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
     if model.u3.shape != (z.shape[2], y.shape[2]):
         raise ValueError(f"u3 shape {model.u3.shape} does not map extents "
                          f"{y.shape[2]} -> {z.shape[2]}")
+    for name, obs in (("y", y), ("z", z)):
+        if not np.all(np.isfinite(obs)):
+            raise ValueError(f"{name} contains NaN or Inf")
+    return y, z
 
+
+def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
+          cfg: SolverConfig, init_factors_override: TRFactors | None = None
+          ) -> FusionResult:
+    """Run the full outer loop and return the fused cube with its history.
+
+    Stops when the relative change of the composed estimate falls to
+    stop_tol, or after k_max outer iterations. k_max = 0 returns the
+    composed initialization with an empty history. Inputs that
+    check_observations rejects raise ValueError before any work starts;
+    non-finite objectives or a collapsed estimate raise
+    SolverDivergenceError.
+    """
+    y, z = check_observations(y, z, model)
     if init_factors_override is not None:
         f = init_factors_override
         if f.dims != (z.shape[0], z.shape[1], y.shape[2]):
@@ -374,26 +388,30 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
                              f"{(z.shape[0], z.shape[1], y.shape[2])}")
     else:
         f = initial_factors(y, z, cfg)
-    state = SolverState(cores=list(f.cores))
+    cores = list(f.cores)
 
-    x_prev = compose(TRFactors(tuple(state.cores)))
+    x_prev = compose(TRFactors(tuple(cores)))
     history: list[IterationRecord] = []
     t0 = time.perf_counter()
     for k in range(1, cfg.k_max + 1):
+        cg_log: list[tuple[int, float]] = []
         for n in range(3):
-            update_block(n, state, y, z, model, cfg)
-        x_new = compose(TRFactors(tuple(state.cores)))
+            update_block(n, cores, y, z, model, cfg, cg_log)
+        x_new = compose(TRFactors(tuple(cores)))
         if frobenius_norm(x_new) == 0.0:
             raise SolverDivergenceError(f"estimate collapsed to zero at outer {k}")
         rel = rel_change(x_new, x_prev)
-        obj = objective(TRFactors(tuple(state.cores)), y, z, model, cfg)
+        obj = objective(TRFactors(tuple(cores)), y, z, model, cfg)
         if not (math.isfinite(obj) and math.isfinite(rel)):
             raise SolverDivergenceError(f"non-finite objective at outer {k} "
                                         f"(objective={obj}, rel_change={rel})")
-        history.append(IterationRecord(k=k, objective=obj, rel_change=rel,
-                                       seconds=time.perf_counter() - t0))
+        history.append(IterationRecord(
+            k=k, objective=obj, rel_change=rel, seconds=time.perf_counter() - t0,
+            inner_sweeps=len(cg_log), cg_iters=sum(it for it, _ in cg_log),
+            cg_capped=sum(1 for it, res in cg_log
+                          if it >= cfg.cg_max and res > cfg.cg_tol)))
         x_prev = x_new
         if rel < cfg.stop_tol:
             break
-    return FusionResult(fused=x_prev, factors=TRFactors(tuple(state.cores)),
+    return FusionResult(fused=x_prev, factors=TRFactors(tuple(cores)),
                         history=history)

@@ -51,7 +51,10 @@ def write_tnsr(path, t: np.ndarray) -> None:
     header = MAGIC + bytes([VERSION]) + struct.pack("<I", t.ndim)
     header += struct.pack(f"<{t.ndim}Q", *t.shape)
     try:
-        Path(path).write_bytes(header + t.tobytes(order="C"))
+        # streamed from the array's buffer: no payload-sized copies
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(t).data)
     except OSError as exc:
         raise TnsrError(f"cannot write {path}: {exc}") from exc
 

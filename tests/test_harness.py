@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import trfuse.harness
 from trfuse.cli import main
 from trfuse.config import ConfigError, parse_experiment_config
 from trfuse.degradation import degrade
@@ -241,6 +242,43 @@ def test_run_ablate_rows_and_table(gt_file, tmp_path):
         run_ablate(parse_experiment_config({"y": "a", "z": "b"}), out)
 
 
+def test_ablation_shares_one_initialization(gt_file, tmp_path, monkeypatch):
+    cfg = _base_config(gt_file, k_max=2)
+    init_calls = []
+    initial_factors = trfuse.harness.initial_factors
+
+    def counted(*args, **kwargs):
+        init_calls.append(1)
+        return initial_factors(*args, **kwargs)
+
+    monkeypatch.setattr(trfuse.harness, "initial_factors", counted)
+    run_ablate(cfg, tmp_path / "shared")
+    assert len(init_calls) == 1
+    shared = (tmp_path / "shared" / "ablation.csv").read_bytes()
+
+    # each variant initializing on its own must give the same table
+    solve = trfuse.harness.solve
+
+    def own_init(y, z, model, scfg, init_factors_override=None):
+        return solve(y, z, model, scfg)
+
+    monkeypatch.setattr(trfuse.harness, "solve", own_init)
+    run_ablate(cfg, tmp_path / "own")
+    assert (tmp_path / "own" / "ablation.csv").read_bytes() == shared
+
+
+def test_nonfinite_inputs_are_data_errors(gt_file, tmp_path, monkeypatch):
+    cfg = _base_config(gt_file)
+    gt, model, y, z = load_inputs(cfg)
+    y = y.copy()
+    y[0, 0, 0] = np.inf
+    monkeypatch.setattr(trfuse.harness, "load_inputs",
+                        lambda _cfg: (gt, model, y, z))
+    with pytest.raises(DataError, match="y contains NaN or Inf"):
+        run_fuse(cfg, tmp_path / "fused")
+    assert not (tmp_path / "fused").exists()
+
+
 def test_run_metrics(tmp_path):
     rng = np.random.default_rng(0)
     ref = rng.uniform(0.0, 1.0, size=(12, 12, 5))
@@ -334,6 +372,23 @@ def test_cli_data_errors_exit_3(gt_file, tmp_path, capsys):
     assert main(["fuse", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_cli_overflowing_observations_exit_3(tmp_path, capsys):
+    # finite ground truth whose signal power overflows, so the simulated
+    # noise, and with it y and z, is non-finite
+    write_tnsr(tmp_path / "gt.tnsr", 1e200 * _phantom())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(tmp_path / "gt.tnsr"), "factor": 2,
+         "msi_bands": 4, "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}))
+    for command in ("fuse", "ablate"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / command)])
+        assert code == 3
+        assert "contains NaN or Inf" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_cli_divergence_exit_4(tmp_path, capsys):

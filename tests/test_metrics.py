@@ -119,7 +119,11 @@ def test_ergas_matches_naive_reference():
 
 
 def test_ssim_matches_naive_reference():
-    for shape, seed in (((16, 17, 2), 7), ((24, 20, 3), 8)):
+    # non-square bands, and bands exactly one and two pixels wider than
+    # the window's ten-pixel reach along either axis
+    for shape, seed in (((16, 17, 2), 7), ((24, 20, 3), 8), ((11, 19, 2), 18),
+                        ((21, 11, 2), 19), ((12, 15, 2), 20), ((14, 12, 2), 21),
+                        ((11, 12, 1), 22)):
         ref, est = _pair(shape, seed)
         assert abs(ssim(ref, est) - _naive_ssim(ref, est)) < 1e-8
     ref, est = _pair((20, 20, 2), 9)
@@ -232,14 +236,21 @@ def test_metrics_report_wires_everything_together():
     ref, est = _pair((36, 33, 3), 17)
     report = metrics_report(ref, est, factor=4.0)
     assert isinstance(report, MetricsReport)
-    assert abs(report.psnr - psnr(ref, est)) < 1e-12
-    assert abs(report.ssim - ssim(ref, est)) < 1e-12
-    assert abs(report.ergas - ergas(ref, est, 4.0)) < 1e-12
-    assert abs(report.sam - sam(ref, est)) < 1e-12
-    assert abs(report.uiqi - uiqi(ref, est)) < 1e-12
+    assert np.all(np.isfinite(report.psnr_per_band))
+    # one scoring pass must reproduce the standalone indices bit for bit
+    assert report.psnr == psnr(ref, est)
+    assert report.ssim == ssim(ref, est)
+    assert report.ergas == ergas(ref, est, 4.0)
+    assert report.sam == sam(ref, est)
+    assert report.uiqi == uiqi(ref, est)
+    assert report.psnr_per_band == tuple(psnr_per_band(ref, est))
+    assert report.uiqi_per_band == tuple(uiqi_per_band(ref, est))
     assert report.sam_skipped == 0
     assert len(report.psnr_per_band) == 3
     assert len(report.uiqi_per_band) == 3
+    flat = np.full((10, 10, 1), 7.0)
+    with pytest.raises(ValueError, match="uiqi undefined"):
+        metrics_report(flat, flat.copy(), factor=4.0)
     scalars = report.scalars()
     assert set(scalars) == {"psnr", "ssim", "ergas", "sam", "uiqi",
                             "sam_skipped"}

@@ -14,10 +14,12 @@ import pytest
 from trfuse.degradation import DegradationModel, add_noise, degrade
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
+                           _block_rhs_data, _subchain_factors,
                            build_difference_matrix, build_sylvester_operator,
                            cg_solve, initial_factors, objective, solve,
-                           update_block, SolverState)
+                           update_block)
 from trfuse.prox import ltnn_value
+from trfuse.tensor import unfold_cyclic
 
 
 def _small_problem(seed=21, noisy=False):
@@ -129,14 +131,35 @@ def test_huge_anchor_weight_pins_the_block_update():
     f, x, model, y, z = _small_problem()
     cfg = SolverConfig(ranks=(2, 3, 2), eta=1e9, mu=0.1, inner_max=1,
                        cg_tol=1e-12, cg_max=2000)
-    state = SolverState(cores=list(random_init((8, 8, 6), (2, 3, 2),
-                                               seed=3).cores))
-    before = [c.copy() for c in state.cores]
+    cores = list(random_init((8, 8, 6), (2, 3, 2), seed=3).cores)
+    before = [c.copy() for c in cores]
+    cg_log = []
     for n in range(3):
-        update_block(n, state, y, z, model, cfg)
-        move = (np.linalg.norm(state.cores[n] - before[n])
+        assert update_block(n, cores, y, z, model, cfg, cg_log) == 1
+        move = (np.linalg.norm(cores[n] - before[n])
                 / np.linalg.norm(before[n]))
         assert move < 1e-6, f"block {n} moved {move}"
+    assert len(cg_log) == 3
+
+
+def test_block_rhs_matches_left_to_right_products():
+    f, x, model, y, z = _small_problem(noisy=True)
+    cores = list(random_init((8, 8, 6), (2, 3, 2), seed=4).cores)
+    lam = 0.7
+    for n in range(3):
+        py, pz = _subchain_factors(n, cores, model)
+        if n == 0:
+            want = (model.u1.T @ unfold_cyclic(y, 0) @ py.T
+                    + lam * (unfold_cyclic(z, 0) @ pz.T))
+        elif n == 1:
+            want = (model.u2.T @ unfold_cyclic(y, 1) @ py.T
+                    + lam * (unfold_cyclic(z, 1) @ pz.T))
+        else:
+            want = (unfold_cyclic(y, 2) @ py.T
+                    + lam * (model.u3.T @ unfold_cyclic(z, 2) @ pz.T))
+        got = _block_rhs_data(n, y, z, model, lam, py, pz)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), n
 
 
 def test_objective_decreases_on_noisy_problem():
@@ -174,13 +197,24 @@ def test_solve_is_deterministic():
     assert [h.rel_change for h in a.history] == [h.rel_change for h in b.history]
 
 
-def test_solve_raises_on_nonfinite_input():
+def test_solve_raises_on_nonfinite_input(monkeypatch):
     f, x, model, y, z = _small_problem()
-    y_bad = y.copy()
-    y_bad[0, 0, 0] = np.nan
-    cfg = SolverConfig(ranks=(2, 2, 2), k_max=3, init="random")
-    with pytest.raises(SolverDivergenceError):
-        solve(y_bad, z, model, cfg)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("initialization ran on non-finite input")
+
+    monkeypatch.setattr("trfuse.solver.initial_factors", no_init)
+    for bad in (np.nan, np.inf, -np.inf):
+        y_bad = y.copy()
+        y_bad[0, 0, 0] = bad
+        z_bad = z.copy()
+        z_bad[1, 2, 0] = bad
+        for init in ("tr_svd", "random"):
+            cfg = SolverConfig(ranks=(2, 2, 2), k_max=3, init=init)
+            with pytest.raises(ValueError, match="y contains NaN or Inf"):
+                solve(y_bad, z, model, cfg)
+            with pytest.raises(ValueError, match="z contains NaN or Inf"):
+                solve(y, z_bad, model, cfg)
 
 
 def test_solve_validates_shapes():
@@ -248,3 +282,20 @@ def test_result_history_fields():
     assert all(b >= a for a, b in zip(secs, secs[1:]))  # cumulative clock
     assert all(np.isfinite(h.objective) and np.isfinite(h.rel_change)
                for h in res.history)
+    for h in res.history:
+        assert 3 <= h.inner_sweeps <= 3 * cfg.inner_max
+        assert 0 <= h.cg_iters <= h.inner_sweeps * cfg.cg_max
+        assert 0 <= h.cg_capped <= h.inner_sweeps
+
+
+def test_history_counts_capped_cg_solves():
+    f, x, model, y, z = _small_problem(noisy=True)
+    cfg = SolverConfig(ranks=(2, 2, 2), k_max=2, inner_max=2, cg_max=1,
+                       cg_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = solve(y, z, model, cfg)
+    assert res.history
+    for h in res.history:
+        assert h.cg_iters <= h.inner_sweeps
+        assert h.cg_capped > 0

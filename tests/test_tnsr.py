@@ -50,6 +50,14 @@ def test_payload_is_row_major(tmp_path):
     raw = p.read_bytes()
     values = struct.unpack_from("<24d", raw, 9 + 8 * 3)
     assert list(values) == list(range(24))  # last index fastest
+    # non-contiguous inputs are written in the same row-major order
+    q = tmp_path / "f.tnsr"
+    write_tnsr(q, np.asfortranarray(t))
+    assert q.read_bytes() == raw
+    wide = np.zeros((2, 3, 8))
+    wide[:, :, ::2] = t
+    write_tnsr(q, wide[:, :, ::2])
+    assert q.read_bytes() == raw
 
 
 def test_magic_and_version_errors(tmp_path):
