@@ -1,6 +1,10 @@
 """Flat JSON experiment configuration.
 
-One JSON object with snake_case keys drives every CLI command. Unknown keys
+One JSON object with snake_case keys drives every CLI command. Each key is a
+field of exactly one dataclass: the solver settings are the fields of
+``SolverConfig`` (held as ``ExperimentConfig.solver``), the inputs,
+degradation, noise and ablation switches those of ``ExperimentConfig``.
+``lambda`` is the one key spelled unlike its field (``lam``). Unknown keys
 are rejected so typos fail loudly. Exactly one of ``ground_truth`` or the
 pair ``y``/``z`` must be present.
 """
@@ -9,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .solver import SolverConfig
 
@@ -31,51 +35,27 @@ class ExperimentConfig:
     band_groups: tuple[tuple[int, ...], ...] | None = None
     snr_y_db: float | None = 25.0
     snr_z_db: float | None = 30.0
-    ranks: tuple[int, int, int] = (2, 4, 2)
-    lam: float = 1.0
-    alpha: float = 1e-4
-    beta: float = 0.5
-    eta: float = 1.0
-    mu: float = 0.1
-    eps_log: float = 1e-2
-    varsigma: float = 1e-3
-    k_max: int = 50
-    inner_max: int = 10
-    inner_tol: float = 1e-3
-    cg_tol: float = 1e-6
-    cg_max: int = 300
-    stop_tol: float = 1e-4
-    init: str = "tr_svd"
-    seed: int = 0
     disable_ltnn_spectral: bool = False
     disable_ltnn_spatial: bool = False
     disable_tv: bool = False
     baseline_trkj: bool = False
-    output_dir: str | None = None
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def as_dict(self) -> dict:
+        """The flat JSON object this config parses from."""
         out = {}
-        for f in fields(self):
-            key = "lambda" if f.name == "lam" else f.name
-            val = getattr(self, f.name)
+        for key, (in_solver, name, _, _) in _KEYS.items():
+            val = getattr(self.solver if in_solver else self, name)
             if isinstance(val, tuple):
                 val = [list(v) if isinstance(v, tuple) else v for v in val]
             out[key] = val
         return out
 
 
-# JSON key -> dataclass field (identity unless renamed)
-_KEY_TO_FIELD = {("lambda" if f.name == "lam" else f.name): f.name
-                 for f in fields(ExperimentConfig)}
-
-_PATH_KEYS = ("ground_truth", "y", "z", "spectral_response", "output_dir")
-_INT_KEYS = ("kernel_size", "factor", "msi_bands", "k_max", "inner_max",
-             "cg_max", "seed")
-_FLOAT_KEYS = ("sigma", "lambda", "alpha", "beta", "eta", "mu", "eps_log",
-               "varsigma", "inner_tol", "cg_tol", "stop_tol")
-_OPTIONAL_FLOAT_KEYS = ("snr_y_db", "snr_z_db")
-_BOOL_KEYS = ("disable_ltnn_spectral", "disable_ltnn_spatial", "disable_tv",
-              "baseline_trkj")
+def _as_str(key, val):
+    if not isinstance(val, str):
+        raise ConfigError(f"{key} must be a string, got {val!r}")
+    return val
 
 
 def _as_int(key, val):
@@ -92,65 +72,70 @@ def _as_float(key, val):
     return float(val)
 
 
+def _as_bool(key, val):
+    if not isinstance(val, bool):
+        raise ConfigError(f"{key} must be a boolean, got {val!r}")
+    return val
+
+
+def _as_ints(key, val):
+    if (not isinstance(val, list)
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in val)):
+        raise ConfigError(f"{key} must be a list of integers, got {val!r}")
+    return tuple(val)
+
+
+def _as_int_lists(key, val):
+    if not isinstance(val, list) or any(not isinstance(g, list) for g in val):
+        raise ConfigError(f"{key} must be a list of integer lists")
+    return tuple(_as_ints(key, g) for g in val)
+
+
+# field annotation, less any "| None" -> JSON value check and conversion
+_COERCE = {
+    "str": _as_str,
+    "int": _as_int,
+    "float": _as_float,
+    "bool": _as_bool,
+    "tuple[int, int, int]": _as_ints,
+    "tuple[tuple[int, ...], ...]": _as_int_lists,
+}
+
+# JSON key -> (owned by SolverConfig, field name, conversion, null allowed);
+# ``solver`` nests the solver keys and ``beta_scales`` follows from the
+# ablation switches, so neither is a key of its own
+_KEYS = {("lambda" if f.name == "lam" else f.name):
+         (owner is SolverConfig, f.name, _COERCE[f.type.removesuffix(" | None")],
+          f.type.endswith(" | None"))
+         for owner in (ExperimentConfig, SolverConfig)
+         for f in fields(owner) if f.name not in ("solver", "beta_scales")}
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = sorted(set(raw) - set(_KEY_TO_FIELD))
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
 
-    kwargs = {}
+    own, solver = {}, {}
     for key, val in raw.items():
-        name = _KEY_TO_FIELD[key]
-        if val is None:
-            if key in _PATH_KEYS or key in _OPTIONAL_FLOAT_KEYS or key == "band_groups":
-                kwargs[name] = None
-                continue
+        in_solver, name, convert, nullable = _KEYS[key]
+        if val is not None:
+            val = convert(key, val)
+        elif not nullable:
             raise ConfigError(f"{key} must not be null")
-        if key in _PATH_KEYS:
-            if not isinstance(val, str):
-                raise ConfigError(f"{key} must be a string path, got {val!r}")
-            kwargs[name] = val
-        elif key in _INT_KEYS:
-            kwargs[name] = _as_int(key, val)
-        elif key in _FLOAT_KEYS:
-            kwargs[name] = _as_float(key, val)
-        elif key in _OPTIONAL_FLOAT_KEYS:
-            kwargs[name] = _as_float(key, val)
-        elif key in _BOOL_KEYS:
-            if not isinstance(val, bool):
-                raise ConfigError(f"{key} must be a boolean, got {val!r}")
-            kwargs[name] = val
-        elif key == "ranks":
-            if (not isinstance(val, list) or len(val) != 3
-                    or any(isinstance(v, bool) or not isinstance(v, int) for v in val)):
-                raise ConfigError(f"ranks must be a list of three integers, got {val!r}")
-            kwargs[name] = tuple(val)
-        elif key == "band_groups":
-            if (not isinstance(val, list)
-                    or any(not isinstance(g, list) for g in val)
-                    or any(isinstance(i, bool) or not isinstance(i, int)
-                           for g in val for i in g)):
-                raise ConfigError("band_groups must be a list of integer lists")
-            kwargs[name] = tuple(tuple(g) for g in val)
-        elif key == "init":
-            if val not in ("tr_svd", "random"):
-                raise ConfigError(f"init must be 'tr_svd' or 'random', got {val!r}")
-            kwargs[name] = val
-        else:
-            kwargs[name] = val
-
-    cfg = ExperimentConfig(**kwargs)
+        (solver if in_solver else own)[name] = val
+    try:
+        cfg = ExperimentConfig(**own, solver=SolverConfig(**solver))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     has_gt = cfg.ground_truth is not None
     has_pair = cfg.y is not None and cfg.z is not None
     if (cfg.y is None) != (cfg.z is None):
         raise ConfigError("y and z must be given together")
     if has_gt == has_pair:
         raise ConfigError("exactly one of ground_truth or the y/z pair is required")
-    try:
-        to_solver_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if cfg.factor < 1 or cfg.kernel_size < 1 or cfg.msi_bands < 1:
         raise ConfigError("factor, kernel_size, and msi_bands must be positive")
     if cfg.kernel_size % 2 == 0:
@@ -172,19 +157,19 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def with_seed(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
-    return cfg if seed is None else replace(cfg, seed=int(seed))
+    if seed is None:
+        return cfg
+    try:
+        return replace(cfg, solver=replace(cfg.solver, seed=int(seed)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def to_solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    """Lower the experiment config to solver settings, applying the switches."""
-    alpha = 0.0 if (cfg.disable_tv or cfg.baseline_trkj) else cfg.alpha
-    beta = 0.0 if cfg.baseline_trkj else cfg.beta
+    """The solver settings with the ablation switches applied."""
     spa = 0.0 if cfg.disable_ltnn_spatial else 1.0
     spe = 0.0 if cfg.disable_ltnn_spectral else 1.0
-    return SolverConfig(ranks=cfg.ranks, lam=cfg.lam, alpha=alpha, beta=beta,
-                        eta=cfg.eta, mu=cfg.mu, eps_log=cfg.eps_log,
-                        varsigma=cfg.varsigma, k_max=cfg.k_max,
-                        inner_max=cfg.inner_max, inner_tol=cfg.inner_tol,
-                        cg_tol=cfg.cg_tol, cg_max=cfg.cg_max,
-                        stop_tol=cfg.stop_tol, init=cfg.init, seed=cfg.seed,
-                        beta_scales=(spa, spa, spe))
+    return replace(cfg.solver,
+                   alpha=0.0 if (cfg.disable_tv or cfg.baseline_trkj) else cfg.solver.alpha,
+                   beta=0.0 if cfg.baseline_trkj else cfg.solver.beta,
+                   beta_scales=(spa, spa, spe))

@@ -137,6 +137,15 @@ class DegradationModel:
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, m)
 
+    @property
+    def mode_operators(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
+        """Per-mode operators of (y, z); None where the observation keeps the mode.
+
+        y blurs and decimates modes 0 and 1, z band-aggregates mode 2. On ring
+        cores, the operator of mode n acts on core n's extent mode.
+        """
+        return (self.u1, self.u2, None), (None, None, self.u3)
+
     @classmethod
     def build(cls, dims: tuple[int, int, int], factor: int,
               kernel_size: int = 7, sigma: float = 2.0,
@@ -167,9 +176,14 @@ def degrade(x: np.ndarray, model: DegradationModel) -> tuple[np.ndarray, np.ndar
     x = np.asarray(x, dtype=float)
     if x.ndim != 3:
         raise ValueError("degrade expects a 3-way tensor")
-    y = mode_n_product(mode_n_product(x, model.u1, 0), model.u2, 1)
-    z = mode_n_product(x, model.u3, 2)
-    return y, z
+    out = []
+    for ops in model.mode_operators:
+        t = x
+        for mode, u in enumerate(ops):
+            if u is not None:
+                t = mode_n_product(t, u, mode)
+        out.append(t)
+    return tuple(out)
 
 
 def add_noise(t: np.ndarray, snr_db: float | None,

@@ -50,7 +50,7 @@ def simulate_pair(gt: np.ndarray, cfg: ExperimentConfig
     _require(gt.ndim == 3, "ground truth must be a 3-way tensor")
     model = build_model(gt.shape, cfg)
     y0, z0 = degrade(gt, model)
-    stream_y, stream_z = np.random.SeedSequence(cfg.seed).spawn(2)
+    stream_y, stream_z = np.random.SeedSequence(cfg.solver.seed).spawn(2)
     y = add_noise(y0, cfg.snr_y_db, np.random.default_rng(stream_y))
     z = add_noise(z0, cfg.snr_z_db, np.random.default_rng(stream_z))
     return model, y, z
@@ -88,9 +88,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_convergence(path: Path, result: FusionResult) -> None:
-    lines = ["k,objective,rel_change,seconds"]
+    lines = ["k,objective,rel_change,inner_sweeps,cg_iters,cg_capped,seconds"]
     for rec in result.history:
         lines.append(f"{rec.k},{rec.objective!r},{rec.rel_change!r},"
+                     f"{rec.inner_sweeps},{rec.cg_iters},{rec.cg_capped},"
                      f"{rec.seconds:.6f}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

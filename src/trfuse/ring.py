@@ -77,12 +77,6 @@ def subchain(f: TRFactors, skip: int) -> np.ndarray:
     return merge_cores(a, b)
 
 
-def evaluate_entry(f: TRFactors, idx: tuple[int, int, int]) -> float:
-    g1, g2, g3 = f.cores
-    i1, i2, i3 = idx
-    return float(np.trace(g1[:, i1, :] @ g2[:, i2, :] @ g3[:, i3, :]))
-
-
 def compose(f: TRFactors) -> np.ndarray:
     """Evaluate the full tensor from its ring cores.
 

@@ -35,7 +35,7 @@ class SolverDivergenceError(RuntimeError):
     """Raised when iterates stop being finite (or collapse to zero)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Model coefficients, penalty parameters, and iteration controls.
 
@@ -62,7 +62,7 @@ class SolverConfig:
     beta_scales: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if len(self.ranks) != 3 or any(r < 1 for r in self.ranks):
             raise ValueError(f"ranks must be three positive integers, got {self.ranks}")
         for name in ("lam", "eta", "mu", "eps_log", "varsigma",
@@ -72,13 +72,14 @@ class SolverConfig:
         for name in ("alpha", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        if self.k_max < 0 or self.seed < 0:
+            raise ValueError("k_max and seed must be nonnegative")
         if self.inner_max < 1 or self.cg_max < 1:
             raise ValueError("inner_max and cg_max must be at least 1")
         if self.init not in ("tr_svd", "random"):
             raise ValueError(f"unknown init scheme {self.init!r}")
-        self.beta_scales = tuple(float(s) for s in self.beta_scales)
+        object.__setattr__(self, "beta_scales",
+                           tuple(float(s) for s in self.beta_scales))
         if len(self.beta_scales) != 3 or any(s < 0 for s in self.beta_scales):
             raise ValueError("beta_scales must be three nonnegative floats")
 
@@ -173,65 +174,35 @@ class SylvesterOperator:
                 + self.mu * (self.dtd @ g) + self.shift * g)
 
 
-def _subchain_factors(n: int, cores, model: DegradationModel):
-    """Transposed cyclic unfoldings of block n's complementary subchains.
+def _block_system(n: int, cores, y: np.ndarray, z: np.ndarray,
+                  model: DegradationModel, cfg: SolverConfig, d: np.ndarray
+                  ) -> tuple[SylvesterOperator, np.ndarray]:
+    """Quadratic-step operator of block n and the data part of its right-hand side.
 
-    The first factor folds the spatial degradations in (matching y), the
-    second folds the spectral one in (matching z); through them the cyclic
-    unfolding of each observation factors over the unknown core's mode-1
-    unfolding.
+    Each observation, with weight 1 for y and lam for z, contributes through
+    its subchain factor p: the cores other than n merged in cyclic order, each
+    degraded by that observation's operator on its mode, so the observation's
+    cyclic unfolding factors as U (G_n's unfolding) p. The observation that
+    degrades core n gives the two-sided term w UᵀU g ppᵀ; the other gives
+    w g ppᵀ. Each unfolding is contracted with the narrow p before Uᵀ is
+    applied, which keeps every intermediate as small as the core's unfolding.
     """
-    g1, g2, g3 = cores
-    u1, u2, u3 = model.u1, model.u2, model.u3
-    if n == 0:
-        py = unfold_cyclic(merge_cores(mode_n_product(g2, u2, 1), g3), 1).T
-        pz = unfold_cyclic(merge_cores(g2, mode_n_product(g3, u3, 1)), 1).T
-    elif n == 1:
-        py = unfold_cyclic(merge_cores(g3, mode_n_product(g1, u1, 1)), 1).T
-        pz = unfold_cyclic(merge_cores(mode_n_product(g3, u3, 1), g1), 1).T
-    else:
-        py = unfold_cyclic(merge_cores(mode_n_product(g1, u1, 1),
-                                       mode_n_product(g2, u2, 1)), 1).T
-        pz = unfold_cyclic(merge_cores(g1, g2), 1).T
-    return py, pz
-
-
-def _assemble_operator(n: int, model: DegradationModel, cfg: SolverConfig,
-                       py: np.ndarray, pz: np.ndarray,
-                       d: np.ndarray) -> SylvesterOperator:
-    if n == 0:
-        a1, b1, s2, b2 = model.u1.T @ model.u1, py @ py.T, cfg.lam, pz @ pz.T
-    elif n == 1:
-        a1, b1, s2, b2 = model.u2.T @ model.u2, py @ py.T, cfg.lam, pz @ pz.T
-    else:
-        a1, b1, s2, b2 = cfg.lam * (model.u3.T @ model.u3), pz @ pz.T, 1.0, py @ py.T
-    return SylvesterOperator(a1=a1, b1=b1, scale2=s2, b2=b2, dtd=d.T @ d,
-                             mu=cfg.mu, shift=cfg.eta + cfg.mu)
-
-
-def build_sylvester_operator(n: int, cores, model: DegradationModel,
-                             cfg: SolverConfig) -> SylvesterOperator:
-    """Quadratic-step operator of block n at the given companion cores."""
-    py, pz = _subchain_factors(n, cores, model)
-    d = build_difference_matrix(cores[n].shape[1])
-    return _assemble_operator(n, model, cfg, py, pz, d)
-
-
-def _block_rhs_data(n: int, y, z, model: DegradationModel, lam: float, py, pz):
-    """Data part of block n's right-hand side.
-
-    Each observation's unfolding is contracted with its narrow subchain
-    factor before the degradation operator is applied, which keeps every
-    intermediate as small as the core's unfolding.
-    """
-    if n == 0:
-        return (model.u1.T @ (unfold_cyclic(y, 0) @ py.T)
-                + lam * (unfold_cyclic(z, 0) @ pz.T))
-    if n == 1:
-        return (model.u2.T @ (unfold_cyclic(y, 1) @ py.T)
-                + lam * (unfold_cyclic(z, 1) @ pz.T))
-    return (unfold_cyclic(y, 2) @ py.T
-            + lam * (model.u3.T @ (unfold_cyclic(z, 2) @ pz.T)))
+    rest = ((n + 1) % 3, (n + 2) % 3)
+    rhs = []
+    for obs, ops, w in zip((y, z), model.mode_operators, (1.0, cfg.lam)):
+        a, b = (cores[m] if ops[m] is None else mode_n_product(cores[m], ops[m], 1)
+                for m in rest)
+        p = unfold_cyclic(merge_cores(a, b), 1).T
+        term = unfold_cyclic(obs, n) @ p.T
+        if ops[n] is None:
+            scale2, b2 = w, p @ p.T
+            rhs.append(w * term)
+        else:
+            a1, b1 = w * (ops[n].T @ ops[n]), p @ p.T
+            rhs.append(w * (ops[n].T @ term))
+    op = SylvesterOperator(a1=a1, b1=b1, scale2=scale2, b2=b2, dtd=d.T @ d,
+                           mu=cfg.mu, shift=cfg.eta + cfg.mu)
+    return op, rhs[0] + rhs[1]
 
 
 def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
@@ -249,9 +220,7 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
     shape = core.shape
     anchor_mat = unfold_first(core, 1)
     d = build_difference_matrix(shape[1])
-    py, pz = _subchain_factors(n, cores, model)
-    op = _assemble_operator(n, model, cfg, py, pz, d)
-    rhs_data = _block_rhs_data(n, y, z, model, cfg.lam, py, pz)
+    op, rhs_data = _block_system(n, cores, y, z, model, cfg, d)
     mu = cfg.mu
     beta_eff = cfg.beta * cfg.beta_scales[n]
     rhs_static = rhs_data + cfg.eta * anchor_mat
@@ -297,12 +266,11 @@ def objective(factors, y: np.ndarray, z: np.ndarray, model: DegradationModel,
     fixed point the inner loops drive toward.
     """
     f = factors if isinstance(factors, TRFactors) else TRFactors(tuple(factors))
-    g1, g2, g3 = f.cores
-    y_hat = compose(TRFactors((mode_n_product(g1, model.u1, 1),
-                               mode_n_product(g2, model.u2, 1), g3)))
-    z_hat = compose(TRFactors((g1, g2, mode_n_product(g3, model.u3, 1))))
-    val = 0.5 * frobenius_norm(np.asarray(y) - y_hat) ** 2
-    val += 0.5 * cfg.lam * frobenius_norm(np.asarray(z) - z_hat) ** 2
+    val = 0.0
+    for obs, ops, w in zip((y, z), model.mode_operators, (1.0, cfg.lam)):
+        est = compose(TRFactors(tuple(g if u is None else mode_n_product(g, u, 1)
+                                      for g, u in zip(f.cores, ops))))
+        val += 0.5 * w * frobenius_norm(np.asarray(obs) - est) ** 2
     for n, g in enumerate(f.cores):
         diff = mode_n_product(g, build_difference_matrix(g.shape[1]), 1)
         if cfg.alpha != 0.0:

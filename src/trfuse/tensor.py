@@ -1,4 +1,4 @@
-"""Dense tensor algebra: matricizations, mode products, cyclic shifts, mode-2 DFT.
+"""Dense tensor algebra: matricizations, mode products, mode-2 DFT.
 
 Tensors are plain numpy arrays (float64, or complex128 in the spectral domain)
 with 0-based mode indices. Two matricization conventions appear throughout:
@@ -75,21 +75,6 @@ def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
                          f"extent {t.shape[mode]}")
     out = np.tensordot(m, t, axes=(1, mode))
     return np.ascontiguousarray(np.moveaxis(out, 0, mode))
-
-
-def cyclic_shift(t: np.ndarray, steps: int) -> np.ndarray:
-    """Rotate the mode order by ``steps``: mode ``steps`` becomes mode 0.
-
-    A shift by ``t.ndim`` (full rotation) is the identity.
-    """
-    t = np.asarray(t)
-    if steps < 0:
-        raise ValueError("shift steps must be nonnegative")
-    s = steps % t.ndim
-    if s == 0:
-        return t.copy()
-    perm = list(range(s, t.ndim)) + list(range(s))
-    return np.ascontiguousarray(np.transpose(t, perm))
 
 
 def dft_mode2(t: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import cyclic_shift
 from trfuse.config import parse_experiment_config, to_solver_config
 from trfuse.degradation import DegradationModel, degrade
 from trfuse.harness import (run_ablate, run_fuse, run_simulate, simulate_pair,
@@ -23,7 +24,7 @@ from trfuse.metrics import ergas, psnr, rescale_pair, sam, ssim, uiqi
 from trfuse.prox import log_threshold_scalar
 from trfuse.ring import TRFactors, compose, random_init, subchain
 from trfuse.solver import solve
-from trfuse.tensor import cyclic_shift, mode_n_product, unfold_cyclic, unfold_first
+from trfuse.tensor import mode_n_product, unfold_cyclic, unfold_first
 from trfuse.tnsr import read_tnsr, write_tnsr
 
 PEAK = 255.0
@@ -211,16 +212,16 @@ def test_criterion_4_descent_and_convergence():
     result = solve(y, z, model, to_solver_config(cfg))
     objs = [h.objective for h in result.history]
     worst_rise = max((b - a) / abs(a) for a, b in zip(objs, objs[1:]))
-    stopped = len(result.history) < cfg.k_max or \
-        result.history[-1].rel_change < cfg.stop_tol
+    stopped = len(result.history) < cfg.solver.k_max or \
+        result.history[-1].rel_change < cfg.solver.stop_tol
     final_rel = result.history[-1].rel_change
     elapsed = time.perf_counter() - t0
-    ok = worst_rise <= 1e-6 and stopped and final_rel < cfg.stop_tol
+    ok = worst_rise <= 1e-6 and stopped and final_rel < cfg.solver.stop_tol
     _verdict(4, ok,
              f"32x32x16 phantom, SNR 25/30 dB: objective worst rise "
              f"{worst_rise:.2e} (slack 1e-6), stopped at k="
-             f"{len(result.history)} of {cfg.k_max} with rel change "
-             f"{final_rel:.2e} < {cfg.stop_tol:g} ({elapsed:.1f}s)")
+             f"{len(result.history)} of {cfg.solver.k_max} with rel change "
+             f"{final_rel:.2e} < {cfg.solver.stop_tol:g} ({elapsed:.1f}s)")
     _budget(4, elapsed, 300.0)
 
 

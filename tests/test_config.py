@@ -7,6 +7,18 @@ import pytest
 from trfuse.config import (ConfigError, ExperimentConfig,
                            load_experiment_config, parse_experiment_config,
                            to_solver_config, with_seed)
+from trfuse.solver import SolverConfig
+
+# the JSON schema, written out rather than derived from the parser's table
+EXPERIMENT_KEYS = (
+    "ground_truth", "y", "z", "spectral_response", "kernel_size", "sigma",
+    "factor", "msi_bands", "band_groups", "snr_y_db", "snr_z_db",
+    "disable_ltnn_spectral", "disable_ltnn_spatial", "disable_tv",
+    "baseline_trkj")
+SOLVER_KEYS = (
+    "ranks", "lambda", "alpha", "beta", "eta", "mu", "eps_log", "varsigma",
+    "k_max", "inner_max", "inner_tol", "cg_tol", "cg_max", "stop_tol", "init",
+    "seed")
 
 
 def _minimal(**over):
@@ -19,8 +31,8 @@ def test_defaults_and_round_trip():
     cfg = parse_experiment_config(_minimal())
     assert cfg.factor == 4
     assert cfg.kernel_size == 7
-    assert cfg.ranks == (2, 4, 2)
-    assert cfg.lam == 1.0
+    assert cfg.solver.ranks == (2, 4, 2)
+    assert cfg.solver.lam == 1.0
     d = cfg.as_dict()
     assert d["lambda"] == 1.0 and "lam" not in d
     assert d["ranks"] == [2, 4, 2]
@@ -37,7 +49,7 @@ def test_unknown_keys_rejected():
 
 def test_lambda_key_maps_to_lam():
     cfg = parse_experiment_config(_minimal(**{"lambda": 0.25}))
-    assert cfg.lam == 0.25
+    assert cfg.solver.lam == 0.25
 
 
 def test_exactly_one_input_source():
@@ -81,6 +93,8 @@ def test_domain_validation():
         parse_experiment_config(_minimal(ranks=[0, 2, 2]))
     with pytest.raises(ConfigError):
         parse_experiment_config(_minimal(eta=0.0))
+    with pytest.raises(ConfigError, match="seed"):
+        parse_experiment_config(_minimal(seed=-1))
     with pytest.raises(ConfigError):
         parse_experiment_config(_minimal(band_groups=[[0, 1]],
                                          spectral_response="resp.tnsr"))
@@ -101,8 +115,10 @@ def test_load_from_file(tmp_path):
 def test_with_seed():
     cfg = parse_experiment_config(_minimal(seed=5))
     assert with_seed(cfg, None) is cfg
-    assert with_seed(cfg, 9).seed == 9
-    assert cfg.seed == 5  # original untouched
+    assert with_seed(cfg, 9).solver.seed == 9
+    assert cfg.solver.seed == 5  # original untouched
+    with pytest.raises(ConfigError, match="seed"):
+        with_seed(cfg, -1)
 
 
 def test_lowering_defaults():
@@ -133,4 +149,40 @@ def test_config_is_frozen():
     cfg = parse_experiment_config(_minimal())
     with pytest.raises(AttributeError):
         cfg.factor = 2
+    with pytest.raises(AttributeError):
+        cfg.solver.k_max = 2
     assert isinstance(cfg, ExperimentConfig)
+
+
+def test_json_schema_is_pinned():
+    assert len(EXPERIMENT_KEYS) + len(SOLVER_KEYS) == 31
+    default = ExperimentConfig().as_dict()
+    assert set(default) == {*EXPERIMENT_KEYS, *SOLVER_KEYS}
+    # every key away from its default, split over the mutually exclusive
+    # input sources and spectral operators
+    shared = {"kernel_size": 5, "sigma": 1.5, "factor": 2, "msi_bands": 3,
+              "snr_y_db": None, "snr_z_db": 40.0, "disable_ltnn_spectral": True,
+              "disable_ltnn_spatial": True, "disable_tv": True,
+              "baseline_trkj": True, "ranks": [3, 2, 4], "lambda": 0.25,
+              "alpha": 2e-3, "beta": 0.75, "eta": 2.0, "mu": 0.5,
+              "eps_log": 0.05, "varsigma": 1e-2, "k_max": 7, "inner_max": 3,
+              "inner_tol": 1e-2, "cg_tol": 1e-8, "cg_max": 40,
+              "stop_tol": 1e-5, "init": "random", "seed": 9}
+    raws = ({**shared, "ground_truth": "gt.tnsr",
+             "band_groups": [[0, 1], [2]]},
+            {**shared, "y": "y.tnsr", "z": "z.tnsr",
+             "spectral_response": "resp.tnsr"})
+    assert set(raws[0]) | set(raws[1]) == set(default)
+    for raw in raws:
+        cfg = parse_experiment_config(raw)
+        echo = cfg.as_dict()
+        for key, val in raw.items():
+            assert echo[key] == val != default[key], key
+        assert parse_experiment_config(echo) == cfg
+        # each key lands on its owner: the solver keys on cfg.solver
+        solver_default = SolverConfig()
+        for key in SOLVER_KEYS:
+            name = "lam" if key == "lambda" else key
+            got = getattr(cfg.solver, name)
+            assert got != getattr(solver_default, name), key
+            assert (list(got) if isinstance(got, tuple) else got) == raw[key]

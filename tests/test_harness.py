@@ -119,10 +119,16 @@ def test_run_fuse_full_outputs(gt_file, tmp_path):
     gt = read_tnsr(gt_file)
     np.testing.assert_array_equal(err, xhat - gt)
     lines = (out / "convergence.csv").read_text().strip().split("\n")
-    assert lines[0] == "k,objective,rel_change,seconds"
+    assert lines[0] == ("k,objective,rel_change,inner_sweeps,cg_iters,"
+                        "cg_capped,seconds")
     assert len(lines) == 1 + summary["iterations"]
     assert [int(l.split(",")[0]) for l in lines[1:]] == list(
         range(1, summary["iterations"] + 1))
+    for line in lines[1:]:
+        sweeps, cg_iters, capped = (int(v) for v in line.split(",")[3:6])
+        assert 3 <= sweeps <= 3 * cfg.solver.inner_max
+        assert 0 <= cg_iters <= sweeps * cfg.solver.cg_max
+        assert 0 <= capped <= sweeps
     per_band = (out / "per_band.csv").read_text().strip().split("\n")
     assert per_band[0] == "band,psnr,uiqi"
     assert len(per_band) == 1 + 8
@@ -172,7 +178,8 @@ def test_fuse_k_max_zero_writes_initialization(gt_file, tmp_path):
     summary = run_fuse(cfg, out)
     assert summary["iterations"] == 0
     lines = (out / "convergence.csv").read_text().strip().split("\n")
-    assert lines == ["k,objective,rel_change,seconds"]
+    assert lines == ["k,objective,rel_change,inner_sweeps,cg_iters,cg_capped,"
+                     "seconds"]
     assert read_tnsr(out / "xhat.tnsr").shape == (16, 16, 8)
 
 
@@ -357,6 +364,30 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["fuse", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+    # the output directory comes from --out only
+    cfg_path.write_text(json.dumps({"ground_truth": "gt.tnsr",
+                                    "output_dir": str(tmp_path / "o")}))
+    assert main(["fuse", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "unknown configuration keys: output_dir" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_seed_exit_2(gt_file, tmp_path, capsys):
+    raw = {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+           "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}
+    in_config = tmp_path / "negative.json"
+    in_config.write_text(json.dumps({**raw, "seed": -1}))
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps(raw))
+    for command in ("simulate", "fuse", "ablate"):
+        for cfg_path, extra in ((in_config, []), (valid, ["--seed", "-1"])):
+            out = tmp_path / command
+            code = main([command, "--config", str(cfg_path),
+                         "--out", str(out), *extra])
+            assert code == 2, (command, extra)
+            assert "seed" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_cli_data_errors_exit_3(gt_file, tmp_path, capsys):

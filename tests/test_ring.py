@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from trfuse.ring import (TRFactors, compose, evaluate_entry, merge_cores,
-                         random_init, subchain, tr_svd_init)
-from trfuse.tensor import cyclic_shift, mode_n_product, unfold_cyclic, unfold_first
+from helpers import cyclic_shift, evaluate_entry
+from trfuse.ring import (TRFactors, compose, merge_cores, random_init,
+                         subchain, tr_svd_init)
+from trfuse.tensor import mode_n_product, unfold_cyclic, unfold_first
 
 
 def _random_factors(rng):

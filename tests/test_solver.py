@@ -14,12 +14,10 @@ import pytest
 from trfuse.degradation import DegradationModel, add_noise, degrade
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
-                           _block_rhs_data, _subchain_factors,
-                           build_difference_matrix, build_sylvester_operator,
-                           cg_solve, initial_factors, objective, solve,
-                           update_block)
+                           _block_system, build_difference_matrix, cg_solve,
+                           initial_factors, objective, solve, update_block)
 from trfuse.prox import ltnn_value
-from trfuse.tensor import unfold_cyclic
+from trfuse.tensor import fold, mode_n_product
 
 
 def _small_problem(seed=21, noisy=False):
@@ -81,7 +79,8 @@ def test_sylvester_operator_symmetric_and_coercive():
     cfg = SolverConfig(ranks=(2, 3, 2))
     rng = np.random.default_rng(1)
     for n in range(3):
-        op = build_sylvester_operator(n, list(f.cores), model, cfg)
+        d = build_difference_matrix(f.cores[n].shape[1])
+        op, _ = _block_system(n, list(f.cores), y, z, model, cfg, d)
         # the operator acts on the core's extent-first mode-1 unfolding
         shape = (f.cores[n].shape[1], f.cores[n].shape[0] * f.cores[n].shape[2])
         for _ in range(5):
@@ -142,24 +141,37 @@ def test_huge_anchor_weight_pins_the_block_update():
     assert len(cg_log) == 3
 
 
-def test_block_rhs_matches_left_to_right_products():
+def test_block_system_is_the_data_quadratic():
+    # The data terms are quadratic in core n's unfolding g:
+    #   f(g) - f(0) = 1/2 <g, Q g> - <b, g>,
+    # with Q the operator less its splitting and anchor parts and b the data
+    # right-hand side. f is evaluated through compose, with the degradations
+    # spelled out here: y blurs cores 1 and 2, z band-aggregates core 3.
     f, x, model, y, z = _small_problem(noisy=True)
+    cfg = SolverConfig(ranks=(2, 3, 2), lam=0.7)
     cores = list(random_init((8, 8, 6), (2, 3, 2), seed=4).cores)
-    lam = 0.7
+    rng = np.random.default_rng(9)
+
+    def data_terms(core_n, n):
+        g = list(cores)
+        g[n] = core_n
+        y_hat = compose(TRFactors((mode_n_product(g[0], model.u1, 1),
+                                   mode_n_product(g[1], model.u2, 1), g[2])))
+        z_hat = compose(TRFactors((g[0], g[1],
+                                   mode_n_product(g[2], model.u3, 1))))
+        return (0.5 * np.sum((y - y_hat) ** 2)
+                + 0.5 * cfg.lam * np.sum((z - z_hat) ** 2))
+
     for n in range(3):
-        py, pz = _subchain_factors(n, cores, model)
-        if n == 0:
-            want = (model.u1.T @ unfold_cyclic(y, 0) @ py.T
-                    + lam * (unfold_cyclic(z, 0) @ pz.T))
-        elif n == 1:
-            want = (model.u2.T @ unfold_cyclic(y, 1) @ py.T
-                    + lam * (unfold_cyclic(z, 1) @ pz.T))
-        else:
-            want = (unfold_cyclic(y, 2) @ py.T
-                    + lam * (model.u3.T @ unfold_cyclic(z, 2) @ pz.T))
-        got = _block_rhs_data(n, y, z, model, lam, py, pz)
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), n
+        shape = cores[n].shape
+        d = build_difference_matrix(shape[1])
+        op, rhs = _block_system(n, cores, y, z, model, cfg, d)
+        g = rng.standard_normal((shape[1], shape[0] * shape[2]))
+        qg = op.apply(g) - cfg.mu * (d.T @ d @ g) - (cfg.eta + cfg.mu) * g
+        quad, lin = 0.5 * np.sum(g * qg), np.sum(rhs * g)
+        got = data_terms(fold(g, 1, shape), n) - data_terms(np.zeros(shape), n)
+        scale = abs(quad) + abs(lin) + data_terms(np.zeros(shape), n)
+        assert abs(got - (quad - lin)) <= 1e-10 * scale, n
 
 
 def test_objective_decreases_on_noisy_problem():
@@ -261,6 +273,8 @@ def test_config_validation():
         SolverConfig(eta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(k_max=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(seed=-1)
     with pytest.raises(ValueError):
         SolverConfig(init="pca")
     with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ every test here recomputes column positions from scratch and compares.
 import numpy as np
 import pytest
 
-from trfuse.tensor import (cyclic_shift, dft_mode2, fold, frobenius_norm,
-                           idft_mode2, l1_norm, mode_n_product, rel_change,
-                           unfold, unfold_cyclic, unfold_first)
+from helpers import cyclic_shift
+from trfuse.tensor import (dft_mode2, fold, frobenius_norm, idft_mode2,
+                           l1_norm, mode_n_product, rel_change, unfold,
+                           unfold_cyclic, unfold_first)
 
 
 def _column_of(idx, dims, rest):
