@@ -80,12 +80,16 @@ def subchain(f: TRFactors, skip: int) -> np.ndarray:
 def compose(f: TRFactors) -> np.ndarray:
     """Evaluate the full tensor from its ring cores.
 
-    Uses the ring unfolding identity: the cyclic mode-0 unfolding of the full
-    tensor equals the mode-1 unfolding of core 0 times the transposed cyclic
-    mode-1 unfolding of the complementary subchain.
+    Uses the ring unfolding identity in row-major layout: core 0 as an
+    (I1, R0*R1) matrix times the subchain of cores 1 and 2 as an
+    (R0*R1, I2*I3) matrix is the cube's C-ordered mode-0 matricization, so
+    the product is the only cube-sized allocation.
     """
-    m = unfold_first(f.cores[0], 1) @ unfold_cyclic(subchain(f, 0), 1).T
-    return fold(m, 0, f.dims, convention="cyclic")
+    g0, g1, g2 = f.cores
+    r0, i1, r1 = g0.shape
+    a = g0.transpose(1, 0, 2).reshape(i1, r0 * r1)
+    b = np.einsum("bjc,cka->abjk", g1, g2).reshape(r0 * r1, -1)
+    return (a @ b).reshape(f.dims)
 
 
 def random_init(dims: tuple[int, int, int], ranks: tuple[int, int, int],
@@ -107,6 +111,27 @@ def _validate_ranks(ranks) -> tuple[int, int, int]:
     return ranks
 
 
+def _core_solve(smat: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Minimum-norm g minimizing ||target - g smatᵀ||_F.
+
+    One thin SVD of the subchain unfolding ``smat`` (J x R) and one product
+    with ``target`` (I x J). Singular values at or below s_max * eps * max(J, R)
+    count as zero, the cutoff numpy's least-squares solver applies by default,
+    so rank-deficient and all-zero subchains give the same minimum-norm
+    solution it does.
+    """
+    u, s, vt = np.linalg.svd(smat, full_matrices=False)
+    keep = s > s[0] * np.finfo(float).eps * max(smat.shape)
+    return (target @ u[:, keep]) / s[keep] @ vt[keep]
+
+
+def _fit_error(t: np.ndarray, f: TRFactors, nrm: float) -> float:
+    """||compose(f) - t||_F / nrm, with the difference formed in place."""
+    x = compose(f)
+    x -= t
+    return float(np.linalg.norm(x)) / nrm
+
+
 def _als_polish(t: np.ndarray, f: TRFactors, nrm: float,
                 max_sweeps: int, tol: float) -> tuple[TRFactors, float]:
     """Alternating exact least-squares sweeps over the cores.
@@ -115,15 +140,15 @@ def _als_polish(t: np.ndarray, f: TRFactors, nrm: float,
     never increases. Stops at ``tol`` relative error or when 50 sweeps
     improve the error by less than two percent.
     """
-    targets = [unfold_cyclic(t, n).T for n in range(3)]
-    err = float(np.linalg.norm(compose(f) - t)) / nrm
+    # row-major cyclic unfoldings, so the products in _core_solve read contiguously
+    targets = [np.ascontiguousarray(unfold_cyclic(t, n)) for n in range(3)]
+    err = _fit_error(t, f, nrm)
     checkpoint = err
     for sweep in range(max_sweeps):
         for n in range(3):
-            smat = unfold_cyclic(subchain(f, n), 1)
-            g, *_ = np.linalg.lstsq(smat, targets[n], rcond=None)
-            f = f.replace_core(n, fold(g.T, 1, f.cores[n].shape, "first"))
-        err = float(np.linalg.norm(compose(f) - t)) / nrm
+            g = _core_solve(unfold_cyclic(subchain(f, n), 1), targets[n])
+            f = f.replace_core(n, fold(g, 1, f.cores[n].shape, "first"))
+        err = _fit_error(t, f, nrm)
         if err < tol:
             break
         if (sweep + 1) % 50 == 0:

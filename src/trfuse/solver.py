@@ -90,8 +90,8 @@ class IterationRecord:
 
     inner_sweeps sums the ADMM sweeps of the three blocks, each of which
     runs one CG solve; cg_iters sums the iterations of those solves, and
-    cg_capped counts the ones that stopped at cg_max with the residual
-    still above cg_tol.
+    cg_capped counts the ones that returned with the residual still above
+    cg_tol, whether they stopped at cg_max or at a breakdown (pᵀAp ≤ 0).
     """
 
     k: int
@@ -366,9 +366,12 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         for n in range(3):
             update_block(n, cores, y, z, model, cfg, cg_log)
         x_new = compose(TRFactors(tuple(cores)))
-        if frobenius_norm(x_new) == 0.0:
+        new_norm = frobenius_norm(x_new)
+        if new_norm == 0.0:
             raise SolverDivergenceError(f"estimate collapsed to zero at outer {k}")
-        rel = rel_change(x_new, x_prev)
+        # x_prev is dropped below, so the difference is formed in its buffer
+        x_prev -= x_new
+        rel = frobenius_norm(x_prev) / new_norm
         obj = objective(TRFactors(tuple(cores)), y, z, model, cfg)
         if not (math.isfinite(obj) and math.isfinite(rel)):
             raise SolverDivergenceError(f"non-finite objective at outer {k} "
@@ -376,8 +379,7 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         history.append(IterationRecord(
             k=k, objective=obj, rel_change=rel, seconds=time.perf_counter() - t0,
             inner_sweeps=len(cg_log), cg_iters=sum(it for it, _ in cg_log),
-            cg_capped=sum(1 for it, res in cg_log
-                          if it >= cfg.cg_max and res > cfg.cg_tol)))
+            cg_capped=sum(1 for _, res in cg_log if res > cfg.cg_tol)))
         x_prev = x_new
         if rel < cfg.stop_tol:
             break

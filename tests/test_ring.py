@@ -6,14 +6,16 @@ the mode-product push-through, and invariance of the composed tensor under a
 cyclic rotation of the core list.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from helpers import cyclic_shift, evaluate_entry
-from trfuse.ring import (TRFactors, compose, merge_cores, random_init,
-                         subchain, tr_svd_init)
+from trfuse.ring import (TRFactors, _core_solve, compose, merge_cores,
+                         random_init, subchain, tr_svd_init)
+from trfuse.solver import _pad_core
 from trfuse.tensor import mode_n_product, unfold_cyclic, unfold_first
 
 
@@ -72,6 +74,61 @@ def test_compose_agrees_with_trace_everywhere():
         x = compose(f)
         for idx in np.ndindex(*f.dims):
             assert abs(x[idx] - evaluate_entry(f, idx)) < 1e-11
+
+
+def test_compose_allocates_only_the_cube():
+    f = random_init((64, 48, 40), (2, 3, 2), seed=8)
+    compose(f)  # warm up any lazily allocated numpy state
+    tracemalloc.start()
+    try:
+        x = compose(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (64, 48, 40) and x.flags.c_contiguous
+    assert peak <= 1.25 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the cube"
+
+
+def _lstsq_core(smat, target):
+    return np.linalg.lstsq(smat, target.T, rcond=None)[0].T
+
+
+def _assert_core_solve_matches_lstsq(f, t):
+    for n in range(3):
+        smat = unfold_cyclic(subchain(f, n), 1)
+        target = np.ascontiguousarray(unfold_cyclic(t, n))
+        want = _lstsq_core(smat, target)
+        got = _core_solve(smat, target)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), n
+
+
+def test_core_solve_matches_lstsq_full_rank():
+    rng = np.random.default_rng(9)
+    f = random_init((6, 7, 5), (2, 3, 2), seed=3)
+    _assert_core_solve_matches_lstsq(f, rng.standard_normal((6, 7, 5)))
+
+
+def test_core_solve_matches_lstsq_rank_deficient():
+    # core 1 zero-padded to a larger last rank, as the solver's init pads a
+    # clamped core, leaves zero columns in the unfolding of the subchain it
+    # ends (the one that skips core 2)
+    rng = np.random.default_rng(10)
+    small = random_init((6, 7, 5), (2, 2, 2), seed=4)
+    f = TRFactors((small.cores[0], _pad_core(small.cores[1], (2, 7, 3)),
+                   rng.standard_normal((3, 5, 2))))
+    sv = np.linalg.svd(unfold_cyclic(subchain(f, 2), 1), compute_uv=False)
+    assert sv[-1] <= 1e-12 * sv[0], "subchain unfolding should be rank-deficient"
+    _assert_core_solve_matches_lstsq(f, rng.standard_normal((6, 7, 5)))
+
+
+def test_core_solve_of_zero_subchain_is_zero():
+    rng = np.random.default_rng(11)
+    smat = np.zeros((30, 6))
+    target = rng.standard_normal((4, 30))
+    got = _core_solve(smat, target)
+    np.testing.assert_array_equal(got, np.zeros((4, 6)))
+    np.testing.assert_array_equal(got, _lstsq_core(smat, target))
 
 
 def test_unfolding_identity_all_modes():

@@ -313,3 +313,20 @@ def test_history_counts_capped_cg_solves():
     for h in res.history:
         assert h.cg_iters <= h.inner_sweeps
         assert h.cg_capped > 0
+
+
+def test_history_counts_cg_breakdowns(monkeypatch):
+    # a breakdown (pᵀAp <= 0) returns early, above cg_tol and below cg_max
+    def breakdown(apply, rhs, tol=1e-6, max_iter=300, x0=None):
+        return np.array(x0, dtype=float), 0, 1.0
+
+    monkeypatch.setattr("trfuse.solver.cg_solve", breakdown)
+    f, x, model, y, z = _small_problem(noisy=True)
+    cfg = SolverConfig(ranks=(2, 2, 2), k_max=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = solve(y, z, model, cfg)
+    assert res.history
+    for h in res.history:
+        assert h.cg_iters == 0
+        assert h.cg_capped == h.inner_sweeps >= 3
