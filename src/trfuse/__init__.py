@@ -4,12 +4,12 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, ExperimentConfig, load_experiment_config, \
     parse_experiment_config, to_solver_config
-from .degradation import DegradationModel, add_noise, build_spatial_operator, \
-    build_spectral_operator, degrade, gaussian_kernel
+from .degradation import DegradationModel, add_noise, build_spectral_operator, \
+    degrade, gaussian_kernel
 from .harness import DataError, run_ablate, run_fuse, run_metrics, run_simulate
 from .metrics import MetricsReport, ergas, metrics_report, psnr, rescale_pair, \
     sam, ssim, uiqi
-from .prox import lateral_tsvd, log_threshold_scalar, ltnn_prox, ltnn_value, \
+from .prox import log_threshold_scalar, ltnn_prox, ltnn_value, \
     soft_shrink_weighted
 from .ring import TRFactors, compose, merge_cores, random_init, subchain, \
     tr_svd_init
@@ -22,13 +22,12 @@ __all__ = [
     "__version__",
     "ConfigError", "ExperimentConfig", "load_experiment_config",
     "parse_experiment_config", "to_solver_config",
-    "DegradationModel", "add_noise", "build_spatial_operator",
-    "build_spectral_operator", "degrade", "gaussian_kernel",
+    "DegradationModel", "add_noise", "build_spectral_operator", "degrade",
+    "gaussian_kernel",
     "DataError", "run_ablate", "run_fuse", "run_metrics", "run_simulate",
     "MetricsReport", "ergas", "metrics_report", "psnr", "rescale_pair",
     "sam", "ssim", "uiqi",
-    "lateral_tsvd", "log_threshold_scalar", "ltnn_prox", "ltnn_value",
-    "soft_shrink_weighted",
+    "log_threshold_scalar", "ltnn_prox", "ltnn_value", "soft_shrink_weighted",
     "TRFactors", "compose", "merge_cores", "random_init", "subchain",
     "tr_svd_init",
     "FusionResult", "IterationRecord", "SolverConfig",

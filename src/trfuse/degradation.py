@@ -59,15 +59,6 @@ def spatial_operator_from_kernel(extent: int, factor: int,
     return op
 
 
-def build_spatial_operator(extent: int, factor: int, kernel_size: int = 7,
-                           sigma: float = 2.0,
-                           kernel: np.ndarray | None = None) -> np.ndarray:
-    """Blur-then-decimate operator; pass ``kernel`` to override the Gaussian."""
-    if kernel is None:
-        kernel = gaussian_kernel(kernel_size, sigma)
-    return spatial_operator_from_kernel(extent, factor, kernel)
-
-
 def contiguous_band_groups(bands: int, out_bands: int) -> tuple[tuple[int, ...], ...]:
     """Partition ``bands`` indices into ``out_bands`` contiguous, near-equal runs."""
     bands, out_bands = int(bands), int(out_bands)
@@ -118,14 +109,11 @@ def build_spectral_operator(bands: int,
 
 @dataclass(frozen=True)
 class DegradationModel:
-    """The three observation matrices plus how they were built."""
+    """The three observation matrices, plus the band partition behind u3."""
 
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
-    factor: int = 1
-    kernel_size: int | None = None
-    sigma: float | None = None
     band_groups: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -166,9 +154,7 @@ class DegradationModel:
                 band_groups = contiguous_band_groups(b, out_bands)
             u3 = build_spectral_operator(b, groups=band_groups)
             groups = tuple(tuple(int(i) for i in g) for g in band_groups)
-        return cls(u1=u1, u2=u2, u3=u3, factor=int(factor),
-                   kernel_size=int(kernel_size), sigma=float(sigma),
-                   band_groups=groups)
+        return cls(u1=u1, u2=u2, u3=u3, band_groups=groups)
 
 
 def degrade(x: np.ndarray, model: DegradationModel) -> tuple[np.ndarray, np.ndarray]:

@@ -4,17 +4,15 @@ tensor nuclear norm (LTNN) of ring cores.
 The LTNN of a core G (R, S, R') is the mean over its S frequency slices, after
 a DFT along mode 1, of sum_j log(sigma_j + eps). Its threshold operator acts
 on each slice's singular values through :func:`log_threshold_scalar`.
+
+G is real, so slices k and S-k of its DFT are complex conjugates with the
+same singular values. Both operators therefore work on the half spectrum
+``rfft(G, axis=1)``, slices 0..S//2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .tensor import dft_mode2, idft_mode2
-
-IMAG_RESIDUAL_TOL = 1e-8
 
 
 def soft_shrink_weighted(j: np.ndarray, tau: float, w: np.ndarray) -> np.ndarray:
@@ -35,25 +33,6 @@ def update_weights(j: np.ndarray, varsigma: float) -> np.ndarray:
     return 1.0 / (np.abs(np.asarray(j, dtype=float)) + varsigma)
 
 
-@dataclass(frozen=True)
-class LateralSVD:
-    """Batched SVD of the frequency slices of a core: u (S, R, K), s (S, K), vh (S, K, R')."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-
-
-def lateral_tsvd(g: np.ndarray) -> LateralSVD:
-    """SVD of every lateral slice of the mode-1 DFT of ``g``."""
-    g = np.asarray(g)
-    if g.ndim != 3:
-        raise ValueError("lateral_tsvd expects a 3-way core")
-    slices = dft_mode2(g).transpose(1, 0, 2)
-    u, s, vh = np.linalg.svd(slices, full_matrices=False)
-    return LateralSVD(u=u, s=s, vh=vh)
-
-
 def ltnn_value(g: np.ndarray, eps: float) -> float:
     """Mean over frequency slices of sum_j log(sigma_j + eps)."""
     g = np.asarray(g)
@@ -61,9 +40,15 @@ def ltnn_value(g: np.ndarray, eps: float) -> float:
         raise ValueError("ltnn_value expects a 3-way core")
     if eps <= 0:
         raise ValueError("log offset eps must be positive")
-    slices = dft_mode2(g).transpose(1, 0, 2)
-    s = np.linalg.svd(slices, compute_uv=False)
-    return float(np.sum(np.log(s + eps)) / g.shape[1])
+    s = np.linalg.svd(np.fft.rfft(g, axis=1).transpose(1, 0, 2),
+                      compute_uv=False)
+    # each half-spectrum slice also stands for its conjugate mirror S-k,
+    # except slice 0 and, when S is even, the Nyquist slice S/2
+    counts = np.full(s.shape[0], 2.0)
+    counts[0] = 1.0
+    if g.shape[1] % 2 == 0:
+        counts[-1] = 1.0
+    return float(np.sum(np.log(s + eps), axis=1) @ counts / g.shape[1])
 
 
 def log_threshold_scalar(s, t: float, eps: float):
@@ -94,17 +79,13 @@ def log_threshold_scalar(s, t: float, eps: float):
 def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
     """Slice-wise singular value thresholding in the mode-1 spectral domain.
 
-    Rebuilds each frequency slice as U * diag(thresholded sigma) * Vh and
-    inverts the DFT; a real input keeps conjugate slice symmetry, so the
-    imaginary residual must stay tiny (scaled tolerance, else raises).
+    Rebuilds each half-spectrum slice as U * diag(thresholded sigma) * Vh and
+    inverts with ``irfft``, so the output is real by construction.
     """
     a = np.asarray(a, dtype=float)
-    lsvd = lateral_tsvd(a)
-    s_new = log_threshold_scalar(lsvd.s, t, eps)
-    rebuilt = lsvd.u @ (s_new[..., None] * lsvd.vh)
-    out, resid = idft_mode2(rebuilt.transpose(1, 0, 2))
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if resid > IMAG_RESIDUAL_TOL * scale:
-        raise ValueError(f"imaginary residual {resid:.3e} after inverse DFT; "
-                         "spectral slices lost conjugate symmetry")
-    return out
+    if a.ndim != 3:
+        raise ValueError("ltnn_prox expects a 3-way core")
+    u, s, vh = np.linalg.svd(np.fft.rfft(a, axis=1).transpose(1, 0, 2),
+                             full_matrices=False)
+    rebuilt = u @ (log_threshold_scalar(s, t, eps)[..., None] * vh)
+    return np.fft.irfft(rebuilt.transpose(1, 0, 2), n=a.shape[1], axis=1)

@@ -258,12 +258,11 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
 
 
 def objective(factors, y: np.ndarray, z: np.ndarray, model: DegradationModel,
-              cfg: SolverConfig, weights=None) -> float:
+              cfg: SolverConfig) -> float:
     """Model objective at the given cores.
 
-    ``weights`` may carry the three reweighting tensors; when omitted they
-    are recomputed from the cores' own differences, which is the reweighting
-    fixed point the inner loops drive toward.
+    The reweighting tensors are recomputed from the cores' own differences,
+    which is the reweighting fixed point the inner loops drive toward.
     """
     f = factors if isinstance(factors, TRFactors) else TRFactors(tuple(factors))
     val = 0.0
@@ -274,8 +273,7 @@ def objective(factors, y: np.ndarray, z: np.ndarray, model: DegradationModel,
     for n, g in enumerate(f.cores):
         diff = mode_n_product(g, build_difference_matrix(g.shape[1]), 1)
         if cfg.alpha != 0.0:
-            w = weights[n] if weights is not None else update_weights(diff, cfg.varsigma)
-            val += cfg.alpha * l1_norm(w * diff)
+            val += cfg.alpha * l1_norm(update_weights(diff, cfg.varsigma) * diff)
         beta_eff = cfg.beta * cfg.beta_scales[n]
         if beta_eff != 0.0:
             val += beta_eff * ltnn_value(g, cfg.eps_log)

@@ -1,7 +1,7 @@
-"""Dense tensor algebra: matricizations, mode products, mode-2 DFT.
+"""Dense tensor algebra: matricizations, mode products, norms.
 
-Tensors are plain numpy arrays (float64, or complex128 in the spectral domain)
-with 0-based mode indices. Two matricization conventions appear throughout:
+Tensors are plain float64 numpy arrays with 0-based mode indices. Two
+matricization conventions appear throughout:
 
 * ``unfold_first``: rows are the unfolded mode; columns run over the remaining
   modes in natural order, earliest mode varying fastest.
@@ -75,28 +75,6 @@ def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
                          f"extent {t.shape[mode]}")
     out = np.tensordot(m, t, axes=(1, mode))
     return np.ascontiguousarray(np.moveaxis(out, 0, mode))
-
-
-def dft_mode2(t: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT along mode 1 of a 3-way tensor."""
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise ValueError("dft_mode2 expects a 3-way tensor")
-    return np.fft.fft(t, axis=1)
-
-
-def idft_mode2(ct: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse of :func:`dft_mode2`.
-
-    Returns the real part plus the maximum absolute imaginary residual, which
-    callers use to detect loss of conjugate symmetry upstream.
-    """
-    ct = np.asarray(ct)
-    if ct.ndim != 3:
-        raise ValueError("idft_mode2 expects a 3-way tensor")
-    x = np.fft.ifft(ct, axis=1)
-    resid = float(np.max(np.abs(x.imag))) if x.size else 0.0
-    return np.ascontiguousarray(x.real), resid
 
 
 def frobenius_norm(t: np.ndarray) -> float:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from trfuse.prox import log_threshold_scalar
+
 
 def evaluate_entry(f, idx):
     """Entry ``idx`` of the composed ring: the trace of the slice product."""
@@ -23,3 +25,19 @@ def cyclic_shift(t, steps):
         return t.copy()
     perm = list(range(s, t.ndim)) + list(range(s))
     return np.ascontiguousarray(np.transpose(t, perm))
+
+
+def full_spectrum_ltnn_value(g, eps):
+    """LTNN by the full mode-1 DFT: the mean over all S slices of sum log(sigma + eps)."""
+    slices = np.fft.fft(g, axis=1).transpose(1, 0, 2)
+    s = np.linalg.svd(slices, compute_uv=False)
+    return float(np.sum(np.log(s + eps)) / g.shape[1])
+
+
+def full_spectrum_ltnn_prox(a, t, eps):
+    """LTNN prox by the full mode-1 DFT: threshold the singular values of
+    every slice, rebuild, and keep the real part of the inverse DFT."""
+    slices = np.fft.fft(a, axis=1).transpose(1, 0, 2)
+    u, s, vh = np.linalg.svd(slices, full_matrices=False)
+    rebuilt = u @ (log_threshold_scalar(s, t, eps)[..., None] * vh)
+    return np.fft.ifft(rebuilt.transpose(1, 0, 2), axis=1).real

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from trfuse.degradation import (DegradationModel, add_noise,
-                                build_spatial_operator, build_spectral_operator,
-                                contiguous_band_groups, degrade,
-                                gaussian_kernel, spatial_operator_from_kernel)
+                                build_spectral_operator, contiguous_band_groups,
+                                degrade, gaussian_kernel,
+                                spatial_operator_from_kernel)
 from trfuse.ring import compose, random_init
 from trfuse.tensor import mode_n_product
 
@@ -26,7 +26,7 @@ def test_gaussian_kernel_shape_and_normalization():
 
 
 def test_delta_kernel_gives_pure_selection_rows():
-    op = build_spatial_operator(8, 2, kernel_size=5, sigma=0.0)
+    op = spatial_operator_from_kernel(8, 2, gaussian_kernel(5, 0.0))
     want = np.zeros((4, 8))
     for i in range(4):
         want[i, 2 * i] = 1.0
@@ -47,7 +47,8 @@ def test_two_tap_average_rows():
 def test_spatial_rows_nonnegative_and_sum_to_one():
     for extent, factor, size, sigma in ((8, 2, 5, 1.0), (16, 4, 7, 2.0),
                                         (12, 3, 9, 0.7)):
-        op = build_spatial_operator(extent, factor, size, sigma)
+        op = spatial_operator_from_kernel(extent, factor,
+                                          gaussian_kernel(size, sigma))
         assert op.shape == (extent // factor, extent)
         assert np.all(op >= 0)
         np.testing.assert_allclose(op.sum(axis=1), 1.0, atol=1e-12)

@@ -8,9 +8,9 @@ t*log(x+eps) + (x-s)^2/2.
 import numpy as np
 import pytest
 
-from trfuse.prox import (lateral_tsvd, log_threshold_scalar, ltnn_prox,
-                         ltnn_value, soft_shrink_weighted, update_weights)
-from trfuse.tensor import dft_mode2
+from helpers import full_spectrum_ltnn_prox, full_spectrum_ltnn_value
+from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
+                         soft_shrink_weighted, update_weights)
 
 
 def test_soft_shrink_basic_cases():
@@ -107,19 +107,32 @@ def test_log_threshold_validation():
         log_threshold_scalar(1.0, 0.1, 0.0)
 
 
-def test_lateral_tsvd_rebuilds_frequency_slices():
+def test_ltnn_matches_full_spectrum_reference():
+    # the half-spectrum path must equal the full DFT, per-slice SVD and
+    # real part of the inverse DFT, for odd and even S and for R != R'
     rng = np.random.default_rng(4)
-    g = rng.standard_normal((3, 6, 4))
-    lsvd = lateral_tsvd(g)
-    slices = dft_mode2(g).transpose(1, 0, 2)
-    rebuilt = lsvd.u @ (lsvd.s[..., None] * lsvd.vh)
-    assert np.linalg.norm(rebuilt - slices) < 1e-10 * np.linalg.norm(slices)
-    # a real core has conjugate-symmetric frequency slices, so mirrored
-    # slices share singular values
-    for k in range(6):
-        np.testing.assert_allclose(lsvd.s[k], lsvd.s[(6 - k) % 6], atol=1e-10)
+    for n in (1, 2, 3, 4, 7, 8, 64):
+        for r, r2 in ((3, 3), (2, 5), (4, 1)):
+            g = 2.0 * rng.standard_normal((r, n, r2))
+            # a real core has conjugate-symmetric frequency slices, so
+            # mirrored slices share singular values; the half spectrum
+            # relies on this
+            sv = np.linalg.svd(np.fft.fft(g, axis=1).transpose(1, 0, 2),
+                               compute_uv=False)
+            for k in range(n):
+                np.testing.assert_allclose(sv[k], sv[(n - k) % n],
+                                           rtol=1e-12, atol=1e-12 * sv.max())
+            for eps in (1e-3, 1e-1):
+                want = full_spectrum_ltnn_value(g, eps)
+                assert abs(ltnn_value(g, eps) - want) <= 1e-12 * abs(want)
+            for t in (0.0, 0.3, 1.5):
+                want = full_spectrum_ltnn_prox(g, t, 1e-2)
+                got = ltnn_prox(g, t, 1e-2)
+                assert got.shape == g.shape and got.dtype == np.float64
+                assert (np.linalg.norm(got - want)
+                        <= 1e-12 * np.linalg.norm(want))
     with pytest.raises(ValueError):
-        lateral_tsvd(np.zeros((2, 2)))
+        ltnn_prox(np.zeros((2, 2)), 0.1, 1e-2)
 
 
 def test_ltnn_value_zero_tensor():
@@ -161,10 +174,11 @@ def test_ltnn_prox_thresholds_slice_singular_values():
     g = 3.0 * rng.standard_normal((4, 5, 4))
     t, eps = 0.4, 1e-2
     out = ltnn_prox(g, t, eps)
-    before = lateral_tsvd(g)
-    after_sv = np.linalg.svd(dft_mode2(out).transpose(1, 0, 2),
+    before_sv = np.linalg.svd(np.fft.fft(g, axis=1).transpose(1, 0, 2),
+                              compute_uv=False)
+    after_sv = np.linalg.svd(np.fft.fft(out, axis=1).transpose(1, 0, 2),
                              compute_uv=False)
-    want = log_threshold_scalar(before.s, t, eps)
+    want = log_threshold_scalar(before_sv, t, eps)
     # thresholding can only produce nonnegative singular values here
     np.testing.assert_allclose(np.sort(after_sv, axis=1),
                                np.sort(np.maximum(want, 0.0), axis=1),
@@ -179,8 +193,8 @@ def test_ltnn_prox_output_is_local_minimum_of_slice_objective():
     t, eps = 0.2, 1e-2
 
     def objective(cand):
-        cf = dft_mode2(cand).transpose(1, 0, 2)
-        af = dft_mode2(g).transpose(1, 0, 2)
+        cf = np.fft.fft(cand, axis=1).transpose(1, 0, 2)
+        af = np.fft.fft(g, axis=1).transpose(1, 0, 2)
         sv = np.linalg.svd(cf, compute_uv=False)
         return (t * float(np.sum(np.log(sv + eps)))
                 + 0.5 * float(np.sum(np.abs(cf - af) ** 2)))

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import cyclic_shift
-from trfuse.tensor import (dft_mode2, fold, frobenius_norm, idft_mode2,
-                           l1_norm, mode_n_product, rel_change, unfold,
-                           unfold_cyclic, unfold_first)
+from trfuse.tensor import (fold, frobenius_norm, l1_norm, mode_n_product,
+                           rel_change, unfold, unfold_cyclic, unfold_first)
 
 
 def _column_of(idx, dims, rest):
@@ -133,22 +132,6 @@ def test_cyclic_shift_full_rotation_is_identity():
     t = rng.standard_normal((2, 5, 4))
     np.testing.assert_array_equal(cyclic_shift(t, 3), t)
     np.testing.assert_array_equal(cyclic_shift(cyclic_shift(t, 1), 2), t)
-
-
-def test_dft_idft_round_trip():
-    rng = np.random.default_rng(8)
-    t = rng.standard_normal((4, 6, 5))
-    back, resid = idft_mode2(dft_mode2(t))
-    np.testing.assert_allclose(back, t, atol=1e-12)
-    assert resid < 1e-12
-
-
-def test_dft_parseval_on_mode():
-    # fft is unnormalized: ||F t||^2 = I2 * ||t||^2
-    rng = np.random.default_rng(9)
-    t = rng.standard_normal((3, 8, 4))
-    f = dft_mode2(t)
-    assert abs(np.sum(np.abs(f) ** 2) - 8 * np.sum(t ** 2)) < 1e-8
 
 
 def test_norms_against_manual():
