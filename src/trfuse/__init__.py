@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import ConfigError, ExperimentConfig, load_experiment_config, \
-    parse_experiment_config, to_solver_config
+    parse_experiment_config
 from .degradation import DegradationModel, add_noise, build_spectral_operator, \
     degrade, gaussian_kernel
 from .harness import DataError, run_ablate, run_fuse, run_metrics, run_simulate
@@ -21,7 +21,7 @@ from .tnsr import TnsrError, read_tnsr, write_tnsr
 __all__ = [
     "__version__",
     "ConfigError", "ExperimentConfig", "load_experiment_config",
-    "parse_experiment_config", "to_solver_config",
+    "parse_experiment_config",
     "DegradationModel", "add_noise", "build_spectral_operator", "degrade",
     "gaussian_kernel",
     "DataError", "run_ablate", "run_fuse", "run_metrics", "run_simulate",

@@ -3,7 +3,7 @@
 One JSON object with snake_case keys drives every CLI command. Each key is a
 field of exactly one dataclass: the solver settings are the fields of
 ``SolverConfig`` (held as ``ExperimentConfig.solver``), the inputs,
-degradation, noise and ablation switches those of ``ExperimentConfig``.
+degradation and noise those of ``ExperimentConfig``.
 ``lambda`` is the one key spelled unlike its field (``lam``). Unknown keys
 are rejected so typos fail loudly. Exactly one of ``ground_truth`` or the
 pair ``y``/``z`` must be present.
@@ -35,10 +35,6 @@ class ExperimentConfig:
     band_groups: tuple[tuple[int, ...], ...] | None = None
     snr_y_db: float | None = 25.0
     snr_z_db: float | None = 30.0
-    disable_ltnn_spectral: bool = False
-    disable_ltnn_spatial: bool = False
-    disable_tv: bool = False
-    baseline_trkj: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def as_dict(self) -> dict:
@@ -72,12 +68,6 @@ def _as_float(key, val):
     return float(val)
 
 
-def _as_bool(key, val):
-    if not isinstance(val, bool):
-        raise ConfigError(f"{key} must be a boolean, got {val!r}")
-    return val
-
-
 def _as_ints(key, val):
     if (not isinstance(val, list)
             or any(isinstance(v, bool) or not isinstance(v, int) for v in val)):
@@ -96,14 +86,13 @@ _COERCE = {
     "str": _as_str,
     "int": _as_int,
     "float": _as_float,
-    "bool": _as_bool,
     "tuple[int, int, int]": _as_ints,
     "tuple[tuple[int, ...], ...]": _as_int_lists,
 }
 
 # JSON key -> (owned by SolverConfig, field name, conversion, null allowed);
-# ``solver`` nests the solver keys and ``beta_scales`` follows from the
-# ablation switches, so neither is a key of its own
+# ``solver`` nests the solver keys and ``beta_scales`` is set only by the
+# ablation grid, so neither is a key of its own
 _KEYS = {("lambda" if f.name == "lam" else f.name):
          (owner is SolverConfig, f.name, _COERCE[f.type.removesuffix(" | None")],
           f.type.endswith(" | None"))
@@ -163,13 +152,3 @@ def with_seed(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
         return replace(cfg, solver=replace(cfg.solver, seed=int(seed)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def to_solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    """The solver settings with the ablation switches applied."""
-    spa = 0.0 if cfg.disable_ltnn_spatial else 1.0
-    spe = 0.0 if cfg.disable_ltnn_spectral else 1.0
-    return replace(cfg.solver,
-                   alpha=0.0 if (cfg.disable_tv or cfg.baseline_trkj) else cfg.solver.alpha,
-                   beta=0.0 if cfg.baseline_trkj else cfg.solver.beta,
-                   beta_scales=(spa, spa, spe))

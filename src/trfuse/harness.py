@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, to_solver_config
+from .config import ConfigError, ExperimentConfig
 from .degradation import DegradationModel, add_noise, degrade
 from .metrics import MetricsReport, metrics_report, rescale_pair
 from .solver import FusionResult, check_observations, initial_factors, solve
@@ -137,7 +137,7 @@ def _metrics_against(gt: np.ndarray, est: np.ndarray, factor: int) -> MetricsRep
 def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     gt, model, y, z = load_inputs(cfg)
     try:
-        result = solve(y, z, model, to_solver_config(cfg))
+        result = solve(y, z, model, cfg.solver)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out = _prepare_out(out_dir)
@@ -163,12 +163,13 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     return summary
 
 
+# each variant is the set of SolverConfig fields it overrides
 ABLATION_VARIANTS = (
     ("full", {}),
-    ("ban_spe", {"disable_ltnn_spectral": True}),
-    ("ban_spa", {"disable_ltnn_spatial": True}),
-    ("no_tv", {"disable_tv": True}),
-    ("trkj", {"baseline_trkj": True}),
+    ("ban_spe", {"beta_scales": (1.0, 1.0, 0.0)}),
+    ("ban_spa", {"beta_scales": (0.0, 0.0, 1.0)}),
+    ("no_tv", {"alpha": 0.0}),
+    ("trkj", {"alpha": 0.0, "beta": 0.0}),
 )
 
 
@@ -177,20 +178,19 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
     All variants share the same simulated inputs and initialization, so the
     rows differ only through the zeroed coefficients. The initialization
-    depends on no switched coefficient, so it is computed once.
+    depends on no overridden coefficient, so it is computed once.
     """
     if cfg.ground_truth is None:
         raise ConfigError("ablate requires a ground_truth path")
     gt, model, y, z = load_inputs(cfg)
     try:
         y, z = check_observations(y, z, model)
-        init = initial_factors(y, z, to_solver_config(cfg))
+        init = initial_factors(y, z, cfg.solver)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     rows = []
     for name, overrides in ABLATION_VARIANTS:
-        vcfg = replace(cfg, **overrides)
-        scfg = to_solver_config(vcfg)
+        scfg = replace(cfg.solver, **overrides)
         try:
             result = solve(y, z, model, scfg, init_factors_override=init)
         except ValueError as exc:

@@ -80,11 +80,14 @@ def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
     """Slice-wise singular value thresholding in the mode-1 spectral domain.
 
     Rebuilds each half-spectrum slice as U * diag(thresholded sigma) * Vh and
-    inverts with ``irfft``, so the output is real by construction.
+    inverts with ``irfft``, so the output is real by construction. t = 0 is
+    the identity and returns a copy of ``a`` without transforming it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3:
         raise ValueError("ltnn_prox expects a 3-way core")
+    if t == 0:
+        return a.copy()
     u, s, vh = np.linalg.svd(np.fft.rfft(a, axis=1).transpose(1, 0, 2),
                              full_matrices=False)
     rebuilt = u @ (log_threshold_scalar(s, t, eps)[..., None] * vh)

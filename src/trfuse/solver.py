@@ -113,8 +113,8 @@ class FusionResult:
 def build_difference_matrix(extent: int) -> np.ndarray:
     """Forward difference rows (-1, +1), last row all zeros."""
     extent = int(extent)
-    if extent < 2:
-        raise ValueError("difference matrix needs extent >= 2")
+    if extent < 1:
+        raise ValueError("difference matrix needs extent >= 1")
     d = np.zeros((extent, extent))
     idx = np.arange(extent - 1)
     d[idx, idx] = -1.0

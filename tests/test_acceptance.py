@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from helpers import cyclic_shift
-from trfuse.config import parse_experiment_config, to_solver_config
+from trfuse.config import parse_experiment_config
 from trfuse.degradation import DegradationModel, degrade
 from trfuse.harness import (run_ablate, run_fuse, run_simulate, simulate_pair,
                             spectral_lift_baseline)
@@ -209,7 +209,7 @@ def test_criterion_4_descent_and_convergence():
         "ground_truth": "unused", "factor": 2, "msi_bands": 6,
         "kernel_size": 5, "sigma": 1.0, "ranks": [2, 4, 2], "seed": 3})
     model, y, z = simulate_pair(gt, cfg)
-    result = solve(y, z, model, to_solver_config(cfg))
+    result = solve(y, z, model, cfg.solver)
     objs = [h.objective for h in result.history]
     worst_rise = max((b - a) / abs(a) for a, b in zip(objs, objs[1:]))
     stopped = len(result.history) < cfg.solver.k_max or \
@@ -236,7 +236,7 @@ def test_criterion_5_recovery_quality():
         "kernel_size": 7, "sigma": 2.0, "ranks": [2, 4, 2],
         "snr_y_db": None, "snr_z_db": None, "seed": 3})
     model, y, z = simulate_pair(gt, cfg)
-    result = solve(y, z, model, to_solver_config(cfg))
+    result = solve(y, z, model, cfg.solver)
     rel_err = np.linalg.norm(result.fused - gt) / np.linalg.norm(gt)
     ref255, est255 = rescale_pair(gt, result.fused)
     fused_psnr = psnr(ref255, est255)

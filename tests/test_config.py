@@ -1,24 +1,27 @@
-"""Experiment configuration parsing and lowering to solver settings."""
+"""Experiment configuration parsing and validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from trfuse.config import (ConfigError, ExperimentConfig,
+from trfuse.config import (_KEYS, ConfigError, ExperimentConfig,
                            load_experiment_config, parse_experiment_config,
-                           to_solver_config, with_seed)
+                           with_seed)
 from trfuse.solver import SolverConfig
 
 # the JSON schema, written out rather than derived from the parser's table
 EXPERIMENT_KEYS = (
     "ground_truth", "y", "z", "spectral_response", "kernel_size", "sigma",
-    "factor", "msi_bands", "band_groups", "snr_y_db", "snr_z_db",
-    "disable_ltnn_spectral", "disable_ltnn_spatial", "disable_tv",
-    "baseline_trkj")
+    "factor", "msi_bands", "band_groups", "snr_y_db", "snr_z_db")
 SOLVER_KEYS = (
     "ranks", "lambda", "alpha", "beta", "eta", "mu", "eps_log", "varsigma",
     "k_max", "inner_max", "inner_tol", "cg_tol", "cg_max", "stop_tol", "init",
     "seed")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _minimal(**over):
@@ -66,7 +69,7 @@ def test_exactly_one_input_source():
 def test_type_validation():
     for bad in (_minimal(factor="4"), _minimal(factor=True),
                 _minimal(sigma="wide"), _minimal(seed=1.5),
-                _minimal(disable_tv=1), _minimal(ranks=[2, 4]),
+                _minimal(ranks=[2, 4]),
                 _minimal(ranks=[2, 4, 2.0]), _minimal(band_groups=[[0], 1]),
                 _minimal(init="svd"), _minimal(ground_truth=7),
                 _minimal(sigma=float("nan"))):
@@ -121,30 +124,6 @@ def test_with_seed():
         with_seed(cfg, -1)
 
 
-def test_lowering_defaults():
-    cfg = parse_experiment_config(_minimal(**{"lambda": 0.5, "alpha": 1e-3,
-                                              "beta": 0.7, "seed": 3}))
-    sc = to_solver_config(cfg)
-    assert sc.lam == 0.5 and sc.alpha == 1e-3 and sc.beta == 0.7
-    assert sc.seed == 3
-    assert sc.beta_scales == (1.0, 1.0, 1.0)
-
-
-def test_ablation_switches_zero_coefficients_only():
-    base = _minimal(alpha=1e-3, beta=0.7)
-    sc = to_solver_config(parse_experiment_config({**base, "disable_tv": True}))
-    assert sc.alpha == 0.0 and sc.beta == 0.7
-    sc = to_solver_config(parse_experiment_config(
-        {**base, "disable_ltnn_spatial": True}))
-    assert sc.beta_scales == (0.0, 0.0, 1.0) and sc.beta == 0.7
-    sc = to_solver_config(parse_experiment_config(
-        {**base, "disable_ltnn_spectral": True}))
-    assert sc.beta_scales == (1.0, 1.0, 0.0)
-    sc = to_solver_config(parse_experiment_config(
-        {**base, "baseline_trkj": True}))
-    assert sc.alpha == 0.0 and sc.beta == 0.0
-
-
 def test_config_is_frozen():
     cfg = parse_experiment_config(_minimal())
     with pytest.raises(AttributeError):
@@ -155,18 +134,16 @@ def test_config_is_frozen():
 
 
 def test_json_schema_is_pinned():
-    assert len(EXPERIMENT_KEYS) + len(SOLVER_KEYS) == 31
+    assert len(EXPERIMENT_KEYS) + len(SOLVER_KEYS) == 27
     default = ExperimentConfig().as_dict()
     assert set(default) == {*EXPERIMENT_KEYS, *SOLVER_KEYS}
     # every key away from its default, split over the mutually exclusive
     # input sources and spectral operators
     shared = {"kernel_size": 5, "sigma": 1.5, "factor": 2, "msi_bands": 3,
-              "snr_y_db": None, "snr_z_db": 40.0, "disable_ltnn_spectral": True,
-              "disable_ltnn_spatial": True, "disable_tv": True,
-              "baseline_trkj": True, "ranks": [3, 2, 4], "lambda": 0.25,
-              "alpha": 2e-3, "beta": 0.75, "eta": 2.0, "mu": 0.5,
-              "eps_log": 0.05, "varsigma": 1e-2, "k_max": 7, "inner_max": 3,
-              "inner_tol": 1e-2, "cg_tol": 1e-8, "cg_max": 40,
+              "snr_y_db": None, "snr_z_db": 40.0, "ranks": [3, 2, 4],
+              "lambda": 0.25, "alpha": 2e-3, "beta": 0.75, "eta": 2.0,
+              "mu": 0.5, "eps_log": 0.05, "varsigma": 1e-2, "k_max": 7,
+              "inner_max": 3, "inner_tol": 1e-2, "cg_tol": 1e-8, "cg_max": 40,
               "stop_tol": 1e-5, "init": "random", "seed": 9}
     raws = ({**shared, "ground_truth": "gt.tnsr",
              "band_groups": [[0, 1], [2]]},
@@ -186,3 +163,21 @@ def test_json_schema_is_pinned():
             got = getattr(cfg.solver, name)
             assert got != getattr(solver_default, name), key
             assert (list(got) if isinstance(got, tuple) else got) == raw[key]
+
+
+def test_readme_configuration_matches_parser_keys():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented, in_key_table = set(), False
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            in_key_table = False
+        elif cells[0] == "key":
+            in_key_table = True
+        elif in_key_table:
+            documented |= set(re.findall(r"`([^`]+)`", cells[0]))
+    assert documented, "README Configuration has no key table"
+    assert documented <= set(_KEYS), f"not parser keys: {sorted(documented - set(_KEYS))}"
+    mentioned = set(re.findall(r"`([^`]+)`", section))
+    assert set(_KEYS) <= mentioned, f"undocumented keys: {sorted(set(_KEYS) - mentioned)}"

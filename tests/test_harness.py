@@ -4,7 +4,9 @@ Runs use a 16x16x8 phantom with k_max kept small; these tests exercise the
 plumbing, not reconstruction quality.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from trfuse.metrics import metrics_report, rescale_pair
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.tensor import mode_n_product
 from trfuse.tnsr import read_tnsr, write_tnsr
+
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 
 
 def _phantom(dims=(16, 16, 8), ranks=(2, 3, 2), seed=11):
@@ -249,6 +253,25 @@ def test_run_ablate_rows_and_table(gt_file, tmp_path):
         run_ablate(parse_experiment_config({"y": "a", "z": "b"}), out)
 
 
+def test_ablation_rows_match_oracle_coefficients(gt_file, tmp_path):
+    # the benchmark's oracle states each variant's coefficients from the
+    # paper's ablation, independently of ABLATION_VARIANTS
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    cols = ("alpha", "beta_core1", "beta_core2", "beta_core3")
+    for alpha, beta in ((1e-3, 0.7), (2e-4, 2.0)):
+        out = tmp_path / f"abl-{beta}"
+        run_ablate(_base_config(gt_file, k_max=1, alpha=alpha, beta=beta), out)
+        lines = (out / "ablation.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        got = {}
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            got[row["variant"]] = tuple(float(row[c]) for c in cols)
+        assert got == oracle.expected_coefficients(alpha, beta)
+
+
 def test_ablation_shares_one_initialization(gt_file, tmp_path, monkeypatch):
     cfg = _base_config(gt_file, k_max=2)
     init_calls = []
@@ -355,6 +378,20 @@ def test_cli_metrics_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_fuse_single_band(tmp_path):
+    # one band: the spectral difference matrix is the single zero row
+    gt_path = tmp_path / "gt1.tnsr"
+    write_tnsr(gt_path, _phantom(dims=(16, 16, 1)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(gt_path), "factor": 2, "msi_bands": 1,
+         "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 2, "seed": 0}))
+    assert main(["fuse", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    xhat = read_tnsr(tmp_path / "o" / "xhat.tnsr")
+    assert xhat.shape == (16, 16, 1) and np.all(np.isfinite(xhat))
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["fuse", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -371,6 +408,22 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     assert "unknown configuration keys: output_dir" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_removed_ablation_switches_exit_2(gt_file, tmp_path, capsys):
+    # ablate overrides the solver coefficients itself; the former switch keys
+    # are unknown keys like any other
+    for key in ("disable_ltnn_spectral", "disable_ltnn_spatial", "disable_tv",
+                "baseline_trkj"):
+        raw = {"ground_truth": str(gt_file), key: True}
+        with pytest.raises(ConfigError, match=f"unknown configuration keys: {key}"):
+            parse_experiment_config(raw)
+        cfg_path = tmp_path / f"{key}.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / key
+        assert main(["fuse", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_negative_seed_exit_2(gt_file, tmp_path, capsys):

@@ -165,8 +165,8 @@ def test_ltnn_prox_t_zero_is_identity():
     rng = np.random.default_rng(6)
     g = rng.standard_normal((3, 7, 3))
     out = ltnn_prox(g, 0.0, 1e-2)
-    assert np.linalg.norm(out - g) < 1e-10 * np.linalg.norm(g)
-    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, g)
+    assert out.dtype == np.float64 and out is not g
 
 
 def test_ltnn_prox_thresholds_slice_singular_values():

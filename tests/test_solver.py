@@ -35,8 +35,10 @@ def _small_problem(seed=21, noisy=False):
 def test_difference_matrix_rows():
     d = build_difference_matrix(3)
     np.testing.assert_array_equal(d, [[-1, 1, 0], [0, -1, 1], [0, 0, 0]])
+    # one band has no forward difference: the single row is the zero last row
+    np.testing.assert_array_equal(build_difference_matrix(1), [[0.0]])
     with pytest.raises(ValueError):
-        build_difference_matrix(1)
+        build_difference_matrix(0)
 
 
 def test_cg_matches_direct_solve():
