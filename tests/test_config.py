@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from trfuse.config import (_KEYS, ConfigError, ExperimentConfig,
                            load_experiment_config, parse_experiment_config,
                            with_seed)
+from trfuse.harness import ABLATION_VARIANTS
 from trfuse.solver import SolverConfig
 
 # the JSON schema, written out rather than derived from the parser's table
@@ -122,6 +124,38 @@ def test_with_seed():
     assert cfg.solver.seed == 5  # original untouched
     with pytest.raises(ConfigError, match="seed"):
         with_seed(cfg, -1)
+
+
+def test_lowering_defaults():
+    # the parsed config carries its solver settings as given; fuse and
+    # ablate run on cfg.solver unchanged
+    cfg = parse_experiment_config(_minimal(**{"lambda": 0.5, "alpha": 1e-3,
+                                              "beta": 0.7, "seed": 3}))
+    sc = cfg.solver
+    assert isinstance(sc, SolverConfig)
+    assert sc.lam == 0.5 and sc.alpha == 1e-3 and sc.beta == 0.7
+    assert sc.seed == 3
+    assert sc.beta_scales == (1.0, 1.0, 1.0)
+
+
+def test_ablation_switches_zero_coefficients_only():
+    base = parse_experiment_config(_minimal(alpha=1e-3, beta=0.7)).solver
+    variants = {name: replace(base, **over) for name, over in ABLATION_VARIANTS}
+    assert variants["full"] == base
+    sc = variants["no_tv"]
+    assert sc.alpha == 0.0 and sc.beta == 0.7
+    assert sc.beta_scales == (1.0, 1.0, 1.0)
+    sc = variants["ban_spa"]
+    assert sc.beta_scales == (0.0, 0.0, 1.0) and sc.beta == 0.7
+    assert sc.alpha == 1e-3
+    sc = variants["ban_spe"]
+    assert sc.beta_scales == (1.0, 1.0, 0.0) and sc.alpha == 1e-3
+    sc = variants["trkj"]
+    assert sc.alpha == 0.0 and sc.beta == 0.0
+    # nothing but the coefficients differs from the base settings
+    for sc in variants.values():
+        assert replace(sc, alpha=base.alpha, beta=base.beta,
+                       beta_scales=base.beta_scales) == base
 
 
 def test_config_is_frozen():
