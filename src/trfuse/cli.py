@@ -69,8 +69,9 @@ def main(argv=None) -> int:
                   f"to {summary['out']}")
         elif args.command == "fuse":
             summary = run_fuse(cfg, args.out)
-            print(f"fused in {summary['iterations']} outer iterations, "
-                  f"outputs in {summary['out']}")
+            print(f"fused in {summary['iterations']} outer iterations "
+                  f"({summary['cg_iters']} CG iterations, "
+                  f"{summary['cg_capped']} capped), outputs in {summary['out']}")
             if "metrics" in summary:
                 print(json.dumps(summary["metrics"], indent=2, sort_keys=True))
         else:

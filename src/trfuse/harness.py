@@ -144,6 +144,8 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     write_tnsr(out / "xhat.tnsr", result.fused)
     _write_convergence(out / "convergence.csv", result)
     summary: dict = {"out": str(out), "iterations": len(result.history),
+                     "cg_iters": sum(h.cg_iters for h in result.history),
+                     "cg_capped": sum(h.cg_capped for h in result.history),
                      "effective_ranks": list(result.factors.ranks)}
     if gt is not None:
         report = _metrics_against(gt, result.fused, cfg.factor)

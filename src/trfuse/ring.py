@@ -77,19 +77,26 @@ def subchain(f: TRFactors, skip: int) -> np.ndarray:
     return merge_cores(a, b)
 
 
-def compose(f: TRFactors) -> np.ndarray:
+def compose(f: TRFactors, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the full tensor from its ring cores.
 
     Uses the ring unfolding identity in row-major layout: core 0 as an
     (I1, R0*R1) matrix times the subchain of cores 1 and 2 as an
     (R0*R1, I2*I3) matrix is the cube's C-ordered mode-0 matricization, so
-    the product is the only cube-sized allocation.
+    the product is written straight into the cube: into ``out`` when given
+    (a C-contiguous float cube of extents ``f.dims``, which is returned),
+    else into the only cube-sized allocation.
     """
     g0, g1, g2 = f.cores
     r0, i1, r1 = g0.shape
     a = g0.transpose(1, 0, 2).reshape(i1, r0 * r1)
     b = np.einsum("bjc,cka->abjk", g1, g2).reshape(r0 * r1, -1)
-    return (a @ b).reshape(f.dims)
+    if out is None:
+        out = np.empty(f.dims)
+    elif out.shape != f.dims or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous cube of extents {f.dims}")
+    np.matmul(a, b, out=out.reshape(i1, -1))
+    return out
 
 
 def random_init(dims: tuple[int, int, int], ranks: tuple[int, int, int],

@@ -1,8 +1,11 @@
 """Reference helpers shared by the test suites, kept out of the package."""
 
+import math
+
 import numpy as np
 
 from trfuse.prox import log_threshold_scalar
+from trfuse.solver import SolverDivergenceError
 
 
 def evaluate_entry(f, idx):
@@ -41,3 +44,34 @@ def full_spectrum_ltnn_prox(a, t, eps):
     u, s, vh = np.linalg.svd(slices, full_matrices=False)
     rebuilt = u @ (log_threshold_scalar(s, t, eps)[..., None] * vh)
     return np.fft.ifft(rebuilt.transpose(1, 0, 2), axis=1).real
+
+
+def plain_cg(apply, rhs, tol=1e-6, max_iter=300, x0=None):
+    """Unpreconditioned conjugate gradients, as the solver ran them before it
+    took a preconditioner; returns (x, iterations, relative residual)."""
+    rhs = np.asarray(rhs, dtype=float)
+    bnorm = float(np.linalg.norm(rhs))
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
+    if bnorm == 0.0:
+        return np.zeros_like(rhs), 0, 0.0
+    r = rhs - apply(x)
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    relres = math.sqrt(rs) / bnorm
+    iters = 0
+    while relres > tol and iters < max_iter:
+        ap = apply(p)
+        denom = float(np.sum(p * ap))
+        if denom <= 0.0:
+            break
+        step = rs / denom
+        x = x + step * p
+        r = r - step * ap
+        rs_new = float(np.sum(r * r))
+        if not math.isfinite(rs_new):
+            raise SolverDivergenceError("non-finite residual in conjugate gradients")
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+        relres = math.sqrt(rs) / bnorm
+        iters += 1
+    return x, iters, relres

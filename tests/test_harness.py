@@ -6,6 +6,7 @@ plumbing, not reconstruction quality.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,9 @@ def test_run_fuse_full_outputs(gt_file, tmp_path):
         assert 3 <= sweeps <= 3 * cfg.solver.inner_max
         assert 0 <= cg_iters <= sweeps * cfg.solver.cg_max
         assert 0 <= capped <= sweeps
+    columns = [[int(v) for v in l.split(",")[4:6]] for l in lines[1:]]
+    assert summary["cg_iters"] == sum(it for it, _ in columns)
+    assert summary["cg_capped"] == sum(cap for _, cap in columns)
     per_band = (out / "per_band.csv").read_text().strip().split("\n")
     assert per_band[0] == "band,psnr,uiqi"
     assert len(per_band) == 1 + 8
@@ -348,7 +352,8 @@ def test_cli_simulate_and_fuse(gt_file, tmp_path, capsys):
     assert main(["fuse", "--config", str(cfg_path),
                  "--out", str(tmp_path / "fused")]) == 0
     out = capsys.readouterr().out
-    assert "outer iterations" in out
+    assert re.search(r"fused in \d+ outer iterations \(\d+ CG iterations, "
+                     r"\d+ capped\)", out)
     assert '"psnr"' in out  # metrics echoed when ground truth is known
 
 

@@ -8,7 +8,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trfuse.degradation import DegradationModel
 from trfuse.ring import TRFactors, compose
+from trfuse.solver import (SolverConfig, _block_system, block_constants,
+                           sylvester_preconditioner)
 from trfuse.tensor import fold, unfold
 
 extents = st.tuples(*[st.integers(1, 9)] * 3)
@@ -38,3 +41,29 @@ def test_fold_inverts_unfold(dims, seed):
             m = unfold(t, mode, convention)
             assert m.shape == (dims[mode], t.size // dims[mode])
             np.testing.assert_array_equal(fold(m, mode, dims, convention), t)
+
+
+@PROPERTY
+@given(dims=extents, observed=extents, ranks=ranks, seed=seeds,
+       weights=st.tuples(*[st.floats(1e-2, 1e2)] * 3))
+def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
+                                                  weights):
+    # dims are the estimate's extents; y keeps band count dims[2] and z keeps
+    # the spatial extents dims[:2], with random operators on the other modes
+    rng = np.random.default_rng(seed)
+    lam, eta, mu = weights
+    model = DegradationModel(u1=rng.standard_normal((observed[0], dims[0])),
+                             u2=rng.standard_normal((observed[1], dims[1])),
+                             u3=rng.standard_normal((observed[2], dims[2])))
+    y = rng.standard_normal((observed[0], observed[1], dims[2]))
+    z = rng.standard_normal((dims[0], dims[1], observed[2]))
+    cores = [rng.standard_normal((ranks[n], dims[n], ranks[(n + 1) % 3]))
+             for n in range(3)]
+    cfg = SolverConfig(ranks=ranks, lam=lam, eta=eta, mu=mu)
+    for n in range(3):
+        c = block_constants(n, model, cfg)
+        op, _ = _block_system(n, cores, y, z, model, cfg, c)
+        r = rng.standard_normal((dims[n], ranks[n] * ranks[(n + 1) % 3]))
+        g = sylvester_preconditioner(c.a1_eig, op.b1, op.e)(r)
+        residual = op.a1 @ g @ op.b1 + g @ op.e - r
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r), n

@@ -14,10 +14,14 @@ import pytest
 from trfuse.degradation import DegradationModel, add_noise, degrade
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
-                           _block_system, build_difference_matrix, cg_solve,
-                           initial_factors, objective, solve, update_block)
+                           _block_system, block_constants,
+                           build_difference_matrix, cg_solve, initial_factors,
+                           objective, solve, sylvester_preconditioner,
+                           update_block)
 from trfuse.prox import ltnn_value
 from trfuse.tensor import fold, mode_n_product
+
+from helpers import plain_cg
 
 
 def _small_problem(seed=21, noisy=False):
@@ -41,18 +45,25 @@ def test_difference_matrix_rows():
         build_difference_matrix(0)
 
 
-def test_cg_matches_direct_solve():
+def _spd_cases():
     rng = np.random.default_rng(0)
     for _ in range(5):
         n = int(rng.integers(4, 12))
         a = rng.standard_normal((n, n))
-        spd = a @ a.T + n * np.eye(n)
-        rhs = rng.standard_normal((n, 3))
-        x, iters, relres = cg_solve(lambda v: spd @ v, rhs, tol=1e-12,
-                                    max_iter=500)
+        yield a @ a.T + n * np.eye(n), rng.standard_normal((n, 3))
+
+
+def test_cg_matches_direct_solve():
+    for spd, rhs in _spd_cases():
         want = np.linalg.solve(spd, rhs)
-        assert np.linalg.norm(x - want) < 1e-8 * np.linalg.norm(want)
-        assert relres <= 1e-12
+        # plain CG, Jacobi, and the inverse of a nearby SPD matrix
+        near = spd + np.diag(np.arange(len(spd)) + 1.0)
+        for precondition in (None, lambda v: v / np.diag(spd)[:, None],
+                             lambda v: np.linalg.solve(near, v)):
+            x, iters, relres = cg_solve(lambda v: spd @ v, rhs, tol=1e-12,
+                                        max_iter=500, precondition=precondition)
+            assert np.linalg.norm(x - want) < 1e-8 * np.linalg.norm(want)
+            assert relres <= 1e-12
 
 
 def test_cg_zero_rhs_and_warm_start():
@@ -65,6 +76,23 @@ def test_cg_zero_rhs_and_warm_start():
     x, iters, _ = cg_solve(lambda v: spd @ v, rhs, tol=1e-10, x0=exact)
     assert iters == 0
     np.testing.assert_allclose(x, exact, atol=1e-12)
+
+
+def test_unpreconditioned_cg_is_plain_cg():
+    # the identity preconditioner reproduces plain CG bit for bit, converged,
+    # capped, warm-started and on a zero right-hand side
+    spd = np.diag([1.0, 2.0, 3.0])
+    cases = [(spd, np.zeros((3, 2)), {}),
+             (spd, np.array([[1.0], [4.0], [9.0]]),
+              {"tol": 1e-10, "x0": np.linalg.solve(spd, [[1.0], [4.0], [9.0]])})]
+    for spd, rhs in _spd_cases():
+        cases += [(spd, rhs, {"tol": 1e-12, "max_iter": 500}),
+                  (spd, rhs, {"max_iter": 2, "x0": np.ones_like(rhs)})]
+    for spd, rhs, kw in cases:
+        x, iters, relres = cg_solve(lambda v: spd @ v, rhs, **kw)
+        x_ref, iters_ref, relres_ref = plain_cg(lambda v: spd @ v, rhs, **kw)
+        np.testing.assert_array_equal(x, x_ref)
+        assert (iters, relres) == (iters_ref, relres_ref)
 
 
 def test_cg_raises_on_nonfinite_residual():
@@ -81,8 +109,8 @@ def test_sylvester_operator_symmetric_and_coercive():
     cfg = SolverConfig(ranks=(2, 3, 2))
     rng = np.random.default_rng(1)
     for n in range(3):
-        d = build_difference_matrix(f.cores[n].shape[1])
-        op, _ = _block_system(n, list(f.cores), y, z, model, cfg, d)
+        op, _ = _block_system(n, list(f.cores), y, z, model, cfg,
+                              block_constants(n, model, cfg))
         # the operator acts on the core's extent-first mode-1 unfolding
         shape = (f.cores[n].shape[1], f.cores[n].shape[0] * f.cores[n].shape[2])
         for _ in range(5):
@@ -94,6 +122,25 @@ def test_sylvester_operator_symmetric_and_coercive():
             quad = float(np.sum(op.apply(a) * a))
             floor = (cfg.eta + cfg.mu) * float(np.sum(a * a))
             assert quad >= floor - 1e-8 * floor
+
+
+def test_preconditioner_inverts_the_two_term_part():
+    # P is the exact inverse of g -> a1 g b1 + g e: the operator without its
+    # mu dᵀd g term
+    f, x, model, y, z = _small_problem(noisy=True)
+    cfg = SolverConfig(ranks=(2, 3, 2), lam=0.7)
+    rng = np.random.default_rng(2)
+    for n in range(3):
+        c = block_constants(n, model, cfg)
+        op, _ = _block_system(n, list(f.cores), y, z, model, cfg, c)
+        precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
+        r = rng.standard_normal((f.cores[n].shape[1],
+                                 f.cores[n].shape[0] * f.cores[n].shape[2]))
+        g = precondition(r)
+        two_term = op.a1 @ g @ op.b1 + g @ op.e
+        assert np.linalg.norm(two_term - r) <= 1e-10 * np.linalg.norm(r), n
+        np.testing.assert_allclose(two_term, op.apply(g) - cfg.mu * (c.dtd @ g),
+                                   rtol=0, atol=1e-12 * np.abs(two_term).max())
 
 
 def test_objective_at_zero_cores():
@@ -136,7 +183,8 @@ def test_huge_anchor_weight_pins_the_block_update():
     before = [c.copy() for c in cores]
     cg_log = []
     for n in range(3):
-        assert update_block(n, cores, y, z, model, cfg, cg_log) == 1
+        c = block_constants(n, model, cfg)
+        assert update_block(n, cores, y, z, model, cfg, cg_log, c) == 1
         move = (np.linalg.norm(cores[n] - before[n])
                 / np.linalg.norm(before[n]))
         assert move < 1e-6, f"block {n} moved {move}"
@@ -167,7 +215,8 @@ def test_block_system_is_the_data_quadratic():
     for n in range(3):
         shape = cores[n].shape
         d = build_difference_matrix(shape[1])
-        op, rhs = _block_system(n, cores, y, z, model, cfg, d)
+        op, rhs = _block_system(n, cores, y, z, model, cfg,
+                                block_constants(n, model, cfg))
         g = rng.standard_normal((shape[1], shape[0] * shape[2]))
         qg = op.apply(g) - cfg.mu * (d.T @ d @ g) - (cfg.eta + cfg.mu) * g
         quad, lin = 0.5 * np.sum(g * qg), np.sum(rhs * g)
@@ -319,7 +368,7 @@ def test_history_counts_capped_cg_solves():
 
 def test_history_counts_cg_breakdowns(monkeypatch):
     # a breakdown (pᵀAp <= 0) returns early, above cg_tol and below cg_max
-    def breakdown(apply, rhs, tol=1e-6, max_iter=300, x0=None):
+    def breakdown(apply, rhs, tol=1e-6, max_iter=300, x0=None, precondition=None):
         return np.array(x0, dtype=float), 0, 1.0
 
     monkeypatch.setattr("trfuse.solver.cg_solve", breakdown)
