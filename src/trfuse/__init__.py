@@ -11,8 +11,7 @@ from .metrics import MetricsReport, ergas, metrics_report, psnr, rescale_pair, \
     sam, ssim, uiqi
 from .prox import log_threshold_scalar, ltnn_prox, ltnn_value, \
     soft_shrink_weighted
-from .ring import TRFactors, compose, merge_cores, random_init, subchain, \
-    tr_svd_init
+from .ring import TRFactors, compose, merge_cores, random_init, tr_svd_init
 from .solver import FusionResult, IterationRecord, SolverConfig, \
     SolverDivergenceError, solve
 from .tensor import fold, frobenius_norm, mode_n_product, unfold
@@ -28,8 +27,7 @@ __all__ = [
     "MetricsReport", "ergas", "metrics_report", "psnr", "rescale_pair",
     "sam", "ssim", "uiqi",
     "log_threshold_scalar", "ltnn_prox", "ltnn_value", "soft_shrink_weighted",
-    "TRFactors", "compose", "merge_cores", "random_init", "subchain",
-    "tr_svd_init",
+    "TRFactors", "compose", "merge_cores", "random_init", "tr_svd_init",
     "FusionResult", "IterationRecord", "SolverConfig",
     "SolverDivergenceError", "solve",
     "fold", "frobenius_norm", "mode_n_product", "unfold",

@@ -115,7 +115,7 @@ def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
     return float(100.0 / factor * np.sqrt(np.mean((rmse / means) ** 2)))
 
 
-def _spectral_angles(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, int]:
+def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
     ref, est = _check_pair(ref, est)
     a = ref.reshape(-1, ref.shape[2])
     b = est.reshape(-1, est.shape[2])
@@ -125,17 +125,22 @@ def _spectral_angles(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, int]
     skipped = int(np.size(na) - np.count_nonzero(keep))
     if not np.any(keep):
         raise ValueError("sam undefined: every spectral vector is zero")
+    if ref.shape[2] < 2:
+        # one-element spectra are colinear or opposite: a sign test, not an angle
+        return np.nan, skipped
     cosang = np.sum(a[keep] * b[keep], axis=1) / (na[keep] * nb[keep])
     angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     # arccos near 1 cannot resolve the zero angle of bit-equal spectra
     angles[np.all(a[keep] == b[keep], axis=1)] = 0.0
-    return angles, skipped
+    return float(np.mean(angles)), skipped
 
 
 def sam(ref: np.ndarray, est: np.ndarray) -> float:
-    """Mean spectral angle in degrees; zero-spectrum pixels are skipped."""
-    angles, _ = _spectral_angles(ref, est)
-    return float(np.mean(angles))
+    """Mean spectral angle in degrees; zero-spectrum pixels are skipped.
+
+    nan on cubes with fewer than two bands, where no angle is defined.
+    """
+    return _sam_and_skipped(ref, est)[0]
 
 
 def _box_sums(x: np.ndarray, w: int) -> np.ndarray:
@@ -215,14 +220,14 @@ def metrics_report(ref: np.ndarray, est: np.ndarray, factor: float) -> MetricsRe
     Each per-band curve is computed once and the band averages derive from it.
     """
     ref, est = _check_pair(ref, est)
-    angles, skipped = _spectral_angles(ref, est)
+    sam_value, skipped = _sam_and_skipped(ref, est)
     psnr_bands = psnr_per_band(ref, est)
     uiqi_bands = uiqi_per_band(ref, est)
     return MetricsReport(
         psnr=float(np.mean(psnr_bands)),
         ssim=ssim(ref, est),
         ergas=ergas(ref, est, factor),
-        sam=float(np.mean(angles)),
+        sam=sam_value,
         uiqi=_uiqi_from_bands(uiqi_bands),
         sam_skipped=skipped,
         psnr_per_band=tuple(float(v) for v in psnr_bands),

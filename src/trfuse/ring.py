@@ -4,6 +4,15 @@ A 3-way tensor X of extents (I1, I2, I3) is represented by three cores
 G1 (R1, I1, R2), G2 (R2, I2, R3), G3 (R3, I3, R1); the entry at (i1, i2, i3)
 is the trace of the product of the three lateral slices. Ranks close
 cyclically, so the last rank of core 3 must equal the first rank of core 1.
+
+Everything here rests on one identity, in the single matricization of
+:mod:`trfuse.tensor`: with n + 1 and n + 2 taken cyclically,
+
+    unfold(X, n) == unfold(G_n, 1) @ merge_cores(G_{n+1}, G_{n+2}),
+
+where the merged subchain is an (R_{n+1}·R_n, I_{n+1}·I_{n+2}) matrix.
+:func:`compose` is the identity at n = 0, and the ALS polish solves it for
+each core in turn.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import fold, unfold_cyclic, unfold_first
+from .tensor import fold, unfold
 
 
 @dataclass(frozen=True)
@@ -52,50 +61,33 @@ class TRFactors:
 
 
 def merge_cores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract two adjacent cores into one.
+    """The subchain matrix of adjacent cores a (Ra, J, Rb) and b (Rb, K, Rc).
 
-    Lateral slice s of the result, with s = j * Ia + i, is the matrix product
-    of slice i of ``a`` and slice j of ``b`` (first core's index fastest).
+    Row r·Rc + c, column j·K + k holds entry (r, c) of the slice product
+    a[:, j, :] @ b[:, k, :]. Rows match ``unfold``'s columns of the core
+    (Rc, I, Ra) before a, and columns match the tensor's.
     """
-    ra, ia, mid = a.shape
-    mid2, ib, rb = b.shape
+    ra, j, mid = a.shape
+    mid2, k, rc = b.shape
     if mid != mid2:
         raise ValueError(f"cores not adjacent: {a.shape} vs {b.shape}")
-    out = np.einsum("ria,ajq->rjiq", a, b)
-    return np.ascontiguousarray(out.reshape(ra, ia * ib, rb))
-
-
-def subchain(f: TRFactors, skip: int) -> np.ndarray:
-    """Merge the two cores other than ``skip`` in cyclic order.
-
-    The result has shape (R_{skip+1}, product of the other extents, R_skip).
-    """
-    if not 0 <= skip < 3:
-        raise ValueError(f"skip index {skip} out of range")
-    a = f.cores[(skip + 1) % 3]
-    b = f.cores[(skip + 2) % 3]
-    return merge_cores(a, b)
+    return np.matmul(a[:, None], b.transpose(2, 0, 1)).reshape(ra * rc, j * k)
 
 
 def compose(f: TRFactors, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the full tensor from its ring cores.
 
-    Uses the ring unfolding identity in row-major layout: core 0 as an
-    (I1, R0*R1) matrix times the subchain of cores 1 and 2 as an
-    (R0*R1, I2*I3) matrix is the cube's C-ordered mode-0 matricization, so
-    the product is written straight into the cube: into ``out`` when given
-    (a C-contiguous float cube of extents ``f.dims``, which is returned),
-    else into the only cube-sized allocation.
+    The ring unfolding identity at mode 0, ``unfold(X, 0)`` being a view of
+    the C-ordered cube: the product is written straight into the cube, into
+    ``out`` when given (a C-contiguous float cube of extents ``f.dims``,
+    which is returned), else into the only cube-sized allocation.
     """
     g0, g1, g2 = f.cores
-    r0, i1, r1 = g0.shape
-    a = g0.transpose(1, 0, 2).reshape(i1, r0 * r1)
-    b = np.einsum("bjc,cka->abjk", g1, g2).reshape(r0 * r1, -1)
     if out is None:
         out = np.empty(f.dims)
     elif out.shape != f.dims or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous cube of extents {f.dims}")
-    np.matmul(a, b, out=out.reshape(i1, -1))
+    np.matmul(unfold(g0, 1), merge_cores(g1, g2), out=unfold(out, 0))
     return out
 
 
@@ -121,11 +113,11 @@ def _validate_ranks(ranks) -> tuple[int, int, int]:
 def _core_solve(smat: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum-norm g minimizing ||target - g smatᵀ||_F.
 
-    One thin SVD of the subchain unfolding ``smat`` (J x R) and one product
-    with ``target`` (I x J). Singular values at or below s_max * eps * max(J, R)
-    count as zero, the cutoff numpy's least-squares solver applies by default,
-    so rank-deficient and all-zero subchains give the same minimum-norm
-    solution it does.
+    One thin SVD of the transposed subchain matrix ``smat`` (J x R) and one
+    product with ``target`` (I x J). Singular values at or below
+    s_max * eps * max(J, R) count as zero, the cutoff numpy's least-squares
+    solver applies by default, so rank-deficient and all-zero subchains give
+    the same minimum-norm solution it does.
     """
     u, s, vt = np.linalg.svd(smat, full_matrices=False)
     keep = s > s[0] * np.finfo(float).eps * max(smat.shape)
@@ -143,18 +135,19 @@ def _als_polish(t: np.ndarray, f: TRFactors, nrm: float,
                 max_sweeps: int, tol: float) -> tuple[TRFactors, float]:
     """Alternating exact least-squares sweeps over the cores.
 
-    Each core update solves its block subproblem exactly, so the fit error
-    never increases. Stops at ``tol`` relative error or when 50 sweeps
-    improve the error by less than two percent.
+    Core n's update is the exact least-squares solution of the ring
+    unfolding identity ``unfold(t, n) = unfold(G_n, 1) @ merge_cores(G_{n+1},
+    G_{n+2})``, so the fit error never increases. Stops at ``tol`` relative
+    error or when 50 sweeps improve the error by less than two percent.
     """
-    # row-major cyclic unfoldings, so the products in _core_solve read contiguously
-    targets = [np.ascontiguousarray(unfold_cyclic(t, n)) for n in range(3)]
+    targets = [unfold(t, n) for n in range(3)]
     err = _fit_error(t, f, nrm)
     checkpoint = err
     for sweep in range(max_sweeps):
         for n in range(3):
-            g = _core_solve(unfold_cyclic(subchain(f, n), 1), targets[n])
-            f = f.replace_core(n, fold(g, 1, f.cores[n].shape, "first"))
+            sub = merge_cores(f.cores[(n + 1) % 3], f.cores[(n + 2) % 3])
+            g = _core_solve(sub.T, targets[n])
+            f = f.replace_core(n, fold(g, 1, f.cores[n].shape))
         err = _fit_error(t, f, nrm)
         if err < tol:
             break
@@ -167,6 +160,41 @@ def _als_polish(t: np.ndarray, f: TRFactors, nrm: float,
 
 _EXACT_FIT_TOL = 1e-9
 _RESTART_SEED = 7919
+
+
+def _sequential_svd(t: np.ndarray, ranks: tuple[int, int, int]
+                    ) -> tuple[TRFactors, float]:
+    """The two sequential SVD splits of ``t`` into ring cores, and the norm of
+    the first SVD's discarded spectrum.
+
+    The full-size SVD factors die on return, so they are not held through
+    the polish that follows.
+    """
+    r1, r2, r3 = ranks
+    i1, i2, i3 = t.shape
+    m = t.reshape(i1, i2 * i3, order="F")
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    k = r1 * r2
+    core1 = u[:, :k].reshape(i1, r2, r1).transpose(2, 0, 1)
+    z = s[:k, None] * vt[:k]
+
+    # regroup rows (r1 fastest, r2) and columns (i2 fastest, i3) into the
+    # split (r2, i2) x (i3, r1) used by the second factorization
+    z4 = z.reshape(r2, r1, i3, i2)
+    m2 = z4.transpose(3, 0, 1, 2).reshape(i2 * r2, r1 * i3)
+
+    r3c = min(r3, m2.shape[0], m2.shape[1])
+    if r3c < r3:
+        warnings.warn(f"ring ranks clamped to ({r1}, {r2}, {r3c}) for extents {t.shape}")
+    u2, s2, v2t = np.linalg.svd(m2, full_matrices=False)
+    core2 = u2[:, :r3c].reshape(i2, r2, r3c).transpose(1, 0, 2)
+    w = s2[:r3c, None] * v2t[:r3c]
+    core3 = w.reshape(r3c, r1, i3).transpose(0, 2, 1)
+
+    f = TRFactors((np.ascontiguousarray(core1),
+                   np.ascontiguousarray(core2),
+                   np.ascontiguousarray(core3)))
+    return f, float(np.linalg.norm(s[k:]))
 
 
 def tr_svd_init(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
@@ -204,32 +232,10 @@ def tr_svd_init(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
         return TRFactors((np.zeros((r1, i1, r2)), np.zeros((r2, i2, r3z)),
                           np.zeros((r3z, i3, r1))))
 
-    m = unfold_first(t, 0)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    k = r1 * r2
-    core1 = u[:, :k].reshape(i1, r2, r1).transpose(2, 0, 1)
-    z = s[:k, None] * vt[:k]
-
-    # regroup rows (r1 fastest, r2) and columns (i2 fastest, i3) into the
-    # split (r2, i2) x (i3, r1) used by the second factorization
-    z4 = z.reshape(r2, r1, i3, i2)
-    m2 = z4.transpose(3, 0, 1, 2).reshape(i2 * r2, r1 * i3)
-
-    r3c = min(r3, m2.shape[0], m2.shape[1])
-    if r3c < r3:
-        warnings.warn(f"ring ranks clamped to ({r1}, {r2}, {r3c}) for extents {t.shape}")
-    u2, s2, v2t = np.linalg.svd(m2, full_matrices=False)
-    core2 = u2[:, :r3c].reshape(i2, r2, r3c).transpose(1, 0, 2)
-    w = s2[:r3c, None] * v2t[:r3c]
-    core3 = w.reshape(r3c, r1, i3).transpose(0, 2, 1)
-
-    f = TRFactors((np.ascontiguousarray(core1),
-                   np.ascontiguousarray(core2),
-                   np.ascontiguousarray(core3)))
-
+    f, tail = _sequential_svd(t, (r1, r2, r3))
     # the discarded first-SVD tail lower-bounds the fit error of any factor
     # set at these ranks, so it decides how hard the polish should try
-    exact_attainable = float(np.linalg.norm(s[k:])) / nrm < _EXACT_FIT_TOL
+    exact_attainable = tail / nrm < _EXACT_FIT_TOL
     sweeps = 2000 if exact_attainable else 40
     f, err = _als_polish(t, f, nrm, sweeps, tol=_EXACT_FIT_TOL / 10.0)
     if exact_attainable:

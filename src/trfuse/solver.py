@@ -42,8 +42,7 @@ import numpy as np
 from .degradation import DegradationModel
 from .prox import ltnn_prox, ltnn_value, soft_shrink_weighted, update_weights
 from .ring import TRFactors, compose, merge_cores, random_init, tr_svd_init
-from .tensor import (fold, frobenius_norm, l1_norm, mode_n_product, rel_change,
-                     unfold_cyclic, unfold_first)
+from .tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
 class SolverDivergenceError(RuntimeError):
@@ -255,9 +254,9 @@ def _block_system(n: int, cores, y: np.ndarray, z: np.ndarray,
     """Quadratic-step operator of block n and the data part of its right-hand side.
 
     Each observation, with weight 1 for y and lam for z, contributes through
-    its subchain factor p: the cores other than n merged in cyclic order, each
+    its subchain matrix p: the cores other than n merged in cyclic order, each
     degraded by that observation's operator on its mode, so the observation's
-    cyclic unfolding factors as U (G_n's unfolding) p. The observation that
+    unfolding factors as U (G_n's unfolding) p. The observation that
     degrades core n gives the two-sided term w UᵀU g ppᵀ; the other gives
     w g ppᵀ. Each unfolding is contracted with the narrow p before Uᵀ is
     applied, which keeps every intermediate as small as the core's unfolding.
@@ -267,8 +266,8 @@ def _block_system(n: int, cores, y: np.ndarray, z: np.ndarray,
     for obs, ops, w in zip((y, z), model.mode_operators, (1.0, cfg.lam)):
         a, b = (cores[m] if ops[m] is None else mode_n_product(cores[m], ops[m], 1)
                 for m in rest)
-        p = unfold_cyclic(merge_cores(a, b), 1).T
-        term = unfold_cyclic(obs, n) @ p.T
+        p = merge_cores(a, b)
+        term = unfold(obs, n) @ p.T
         if ops[n] is None:
             e = w * (p @ p.T) + (cfg.eta + cfg.mu) * np.eye(len(p))
             rhs.append(w * term)
@@ -293,7 +292,7 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
     """
     core = cores[n]
     shape = core.shape
-    anchor_mat = unfold_first(core, 1)
+    anchor_mat = unfold(core, 1)
     d = c.d
     op, rhs_data = _block_system(n, cores, y, z, model, cfg, c)
     precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
@@ -312,8 +311,8 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
         weights = update_weights(j, cfg.varsigma)
         r = soft_shrink_weighted(j, cfg.alpha / mu, weights)
         rhs = (rhs_static
-               + mu * (d.T @ unfold_first(r + m / mu, 1))
-               + mu * unfold_first(v + nn / mu, 1))
+               + mu * (d.T @ unfold(r + m / mu, 1))
+               + mu * unfold(v + nn / mu, 1))
         g_mat, iters, relres = cg_solve(op.apply, rhs, cfg.cg_tol, cfg.cg_max,
                                         x0=g_mat, precondition=precondition)
         cg_log.append((iters, relres))
@@ -325,7 +324,7 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
         if new_norm == 0.0:
             step = 0.0 if frobenius_norm(core) == 0.0 else math.inf
         else:
-            step = rel_change(core_new, core)
+            step = frobenius_norm(core_new - core) / new_norm
         core = core_new
         if step < cfg.inner_tol:
             break

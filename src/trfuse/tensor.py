@@ -1,15 +1,14 @@
-"""Dense tensor algebra: matricizations, mode products, norms.
+"""Dense tensor algebra: the ring matricization, mode products, norms.
 
-Tensors are plain float64 numpy arrays with 0-based mode indices. Two
-matricization conventions appear throughout:
+Tensors are plain float64 numpy arrays with 0-based mode indices. There is
+one matricization, :func:`unfold`: rows are the unfolded mode n, and columns
+run over the other modes in cyclic order after n (n+1, n+2, ...), the last
+one fastest. It is ``transpose(t, (n, n+1, ...)).reshape(I_n, -1)``, a view
+for n = 0, and :func:`fold` inverts it given the original extents.
 
-* ``unfold_first``: rows are the unfolded mode; columns run over the remaining
-  modes in natural order, earliest mode varying fastest.
-* ``unfold_cyclic``: rows are the unfolded mode; columns run over the remaining
-  modes in cyclic order starting right after the unfolded mode, with that next
-  mode varying fastest.
-
-Both are inverted by :func:`fold` given the original extents.
+It is the layout of the tensor-ring unfolding identity (Zhao et al., "Tensor
+Ring Decomposition", arXiv:1606.05535): for three ring cores,
+``unfold(X, n) == unfold(G_n, 1) @ merge_cores(G_{n+1}, G_{n+2})``.
 """
 
 from __future__ import annotations
@@ -22,46 +21,31 @@ def _check_mode(ndim: int, mode: int) -> None:
         raise ValueError(f"mode {mode} out of range for a {ndim}-way tensor")
 
 
-def _column_modes(ndim: int, mode: int, convention: str) -> list[int]:
-    if convention == "first":
-        return [ax for ax in range(ndim) if ax != mode]
-    if convention == "cyclic":
-        return [(mode + k) % ndim for k in range(1, ndim)]
-    raise ValueError(f"unknown unfolding convention {convention!r}")
+def _cyclic_order(ndim: int, mode: int) -> list[int]:
+    return [(mode + k) % ndim for k in range(ndim)]
 
 
-def unfold(t: np.ndarray, mode: int, convention: str = "first") -> np.ndarray:
-    """Matricize ``t`` along ``mode`` under the given column convention.
-
-    The first listed column mode varies fastest, so the result equals a
-    Fortran-order reshape of the suitably permuted tensor.
-    """
+def unfold(t: np.ndarray, mode: int) -> np.ndarray:
+    """Matricize ``t`` along ``mode``, columns in cyclic mode order after it."""
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
-    perm = [mode] + _column_modes(t.ndim, mode, convention)
-    return np.transpose(t, perm).reshape(t.shape[mode], -1, order="F")
+    return np.transpose(t, _cyclic_order(t.ndim, mode)).reshape(t.shape[mode], -1)
 
 
-def unfold_first(t: np.ndarray, mode: int) -> np.ndarray:
-    return unfold(t, mode, "first")
+def fold(m: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
+    """Invert :func:`unfold`: rebuild the C-contiguous tensor with extents ``dims``.
 
-
-def unfold_cyclic(t: np.ndarray, mode: int) -> np.ndarray:
-    return unfold(t, mode, "cyclic")
-
-
-def fold(m: np.ndarray, mode: int, dims: tuple[int, ...],
-         convention: str = "first") -> np.ndarray:
-    """Invert :func:`unfold`: rebuild the tensor with extents ``dims``."""
+    For mode 0 this is a reshape, so it may share memory with ``m``.
+    """
     m = np.asarray(m)
     dims = tuple(int(d) for d in dims)
     _check_mode(len(dims), mode)
-    perm = [mode] + _column_modes(len(dims), mode, convention)
+    perm = _cyclic_order(len(dims), mode)
     expected = (dims[mode], int(np.prod([dims[p] for p in perm[1:]], dtype=np.int64)))
     if m.shape != expected:
         raise ValueError(f"matrix shape {m.shape} does not match extents {dims} "
                          f"for mode {mode} (expected {expected})")
-    t_perm = m.reshape([dims[p] for p in perm], order="F")
+    t_perm = m.reshape([dims[p] for p in perm])
     return np.ascontiguousarray(np.transpose(t_perm, np.argsort(perm)))
 
 
@@ -83,11 +67,3 @@ def frobenius_norm(t: np.ndarray) -> float:
 
 def l1_norm(t: np.ndarray) -> float:
     return float(np.sum(np.abs(t)))
-
-
-def rel_change(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||_F / ||a||_F, raising when the reference ``a`` is zero."""
-    denom = frobenius_norm(a)
-    if denom == 0.0:
-        raise ValueError("relative change undefined for a zero reference tensor")
-    return frobenius_norm(np.asarray(a) - np.asarray(b)) / denom

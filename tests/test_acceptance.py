@@ -22,9 +22,9 @@ from trfuse.harness import (run_ablate, run_fuse, run_simulate, simulate_pair,
                             spectral_lift_baseline)
 from trfuse.metrics import ergas, psnr, rescale_pair, sam, ssim, uiqi
 from trfuse.prox import log_threshold_scalar
-from trfuse.ring import TRFactors, compose, random_init, subchain
+from trfuse.ring import TRFactors, compose, merge_cores, random_init
 from trfuse.solver import solve
-from trfuse.tensor import mode_n_product, unfold_cyclic, unfold_first
+from trfuse.tensor import mode_n_product, unfold
 from trfuse.tnsr import read_tnsr, write_tnsr
 
 PEAK = 255.0
@@ -64,11 +64,12 @@ def test_criterion_1_ring_identities():
         x = compose(f)
         scale = max(np.linalg.norm(x), 1e-30)
 
-        # unfolding identity: cyclic unfolding factors over the skipped core
+        # unfolding identity: the mode-n unfolding factors as the skipped
+        # core's unfolding times the subchain of the other two
         for n in range(3):
-            lhs = unfold_cyclic(x, n)
-            rhs = unfold_first(f.cores[n], 1) @ unfold_cyclic(
-                subchain(f, n), 1).T
+            lhs = unfold(x, n)
+            rhs = unfold(f.cores[n], 1) @ merge_cores(f.cores[(n + 1) % 3],
+                                                      f.cores[(n + 2) % 3])
             worst_unfold = max(worst_unfold,
                                np.linalg.norm(lhs - rhs) / scale)
 

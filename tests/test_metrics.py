@@ -212,6 +212,19 @@ def test_sam_skips_zero_spectra():
         sam(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
+def test_sam_is_nan_on_a_single_band():
+    # one-element spectra only differ in sign: 0 or 180 degrees, no angle
+    rng = np.random.default_rng(18)
+    ref = rng.uniform(1.0, 2.0, size=(5, 4, 1))
+    est = ref.copy()
+    est[0, 0, 0] = -1.0
+    assert np.isnan(sam(ref, est))
+    report = metrics_report(ref, est, factor=2.0)
+    assert np.isnan(report.sam) and np.isnan(report.scalars()["sam"])
+    assert report.sam_skipped == 0
+    assert np.isfinite(report.psnr)
+
+
 def test_rescale_pair_affine_map():
     rng = np.random.default_rng(16)
     ref = rng.uniform(-3.0, 5.0, size=(12, 11, 3))

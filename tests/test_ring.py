@@ -14,9 +14,14 @@ import pytest
 
 from helpers import cyclic_shift, evaluate_entry
 from trfuse.ring import (TRFactors, _core_solve, compose, merge_cores,
-                         random_init, subchain, tr_svd_init)
+                         random_init, tr_svd_init)
 from trfuse.solver import _pad_core
-from trfuse.tensor import mode_n_product, unfold_cyclic, unfold_first
+from trfuse.tensor import mode_n_product, unfold
+
+
+def _subchain(f, skip):
+    """The merged cores after ``skip``, in cyclic order."""
+    return merge_cores(f.cores[(skip + 1) % 3], f.cores[(skip + 2) % 3])
 
 
 def _random_factors(rng):
@@ -41,30 +46,34 @@ def test_factors_validation():
 def test_merge_cores_slice_products():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((2, 4, 3))
-    b = rng.standard_normal((3, 5, 2))
+    b = rng.standard_normal((3, 5, 6))
     m = merge_cores(a, b)
-    assert m.shape == (2, 20, 2)
-    # slice s = j * Ia + i is the product of slice i of a and slice j of b
-    for i in range(4):
-        for j in range(5):
-            np.testing.assert_allclose(m[:, j * 4 + i, :],
-                                       a[:, i, :] @ b[:, j, :], atol=1e-13)
+    assert m.shape == (12, 20)
+    # row r * Rc + c, column j * K + k is entry (r, c) of a[:, j] @ b[:, k]
+    for j in range(4):
+        for k in range(5):
+            prod = a[:, j, :] @ b[:, k, :]
+            for r in range(2):
+                for c in range(6):
+                    assert abs(m[r * 6 + c, j * 5 + k] - prod[r, c]) < 1e-13
+    with pytest.raises(ValueError, match="not adjacent"):
+        merge_cores(b, a)
 
 
 def test_subchain_shapes_and_slices():
     rng = np.random.default_rng(1)
     f = random_init((3, 4, 5), (2, 3, 4), seed=5)
     for skip in range(3):
-        sc = subchain(f, skip)
+        sc = _subchain(f, skip)
         ra = f.cores[skip].shape[2]
         rb = f.cores[skip].shape[0]
-        assert sc.shape[0] == ra and sc.shape[2] == rb
+        assert sc.shape == (ra * rb, f.dims[(skip + 1) % 3] * f.dims[(skip + 2) % 3])
     idx = rng.integers(0, 4), rng.integers(0, 5)
-    got = subchain(f, 0)[:, idx[1] * 4 + idx[0], :]
+    got = _subchain(f, 0)[:, idx[0] * 5 + idx[1]].reshape(3, 2)
     want = f.cores[1][:, idx[0], :] @ f.cores[2][:, idx[1], :]
     np.testing.assert_allclose(got, want, atol=1e-13)
     with pytest.raises(ValueError):
-        subchain(f, 3)
+        merge_cores(f.cores[2], f.cores[1])
 
 
 def test_compose_agrees_with_trace_everywhere():
@@ -115,8 +124,8 @@ def _lstsq_core(smat, target):
 
 def _assert_core_solve_matches_lstsq(f, t):
     for n in range(3):
-        smat = unfold_cyclic(subchain(f, n), 1)
-        target = np.ascontiguousarray(unfold_cyclic(t, n))
+        smat = _subchain(f, n).T
+        target = unfold(t, n)
         want = _lstsq_core(smat, target)
         got = _core_solve(smat, target)
         assert got.shape == want.shape
@@ -131,14 +140,14 @@ def test_core_solve_matches_lstsq_full_rank():
 
 def test_core_solve_matches_lstsq_rank_deficient():
     # core 1 zero-padded to a larger last rank, as the solver's init pads a
-    # clamped core, leaves zero columns in the unfolding of the subchain it
+    # clamped core, leaves zero rows in the matrix of the subchain it
     # ends (the one that skips core 2)
     rng = np.random.default_rng(10)
     small = random_init((6, 7, 5), (2, 2, 2), seed=4)
     f = TRFactors((small.cores[0], _pad_core(small.cores[1], (2, 7, 3)),
                    rng.standard_normal((3, 5, 2))))
-    sv = np.linalg.svd(unfold_cyclic(subchain(f, 2), 1), compute_uv=False)
-    assert sv[-1] <= 1e-12 * sv[0], "subchain unfolding should be rank-deficient"
+    sv = np.linalg.svd(_subchain(f, 2), compute_uv=False)
+    assert sv[-1] <= 1e-12 * sv[0], "subchain matrix should be rank-deficient"
     _assert_core_solve_matches_lstsq(f, rng.standard_normal((6, 7, 5)))
 
 
@@ -152,16 +161,16 @@ def test_core_solve_of_zero_subchain_is_zero():
 
 
 def test_unfolding_identity_all_modes():
-    # cyclic mode-n unfolding of the composition factors through the skipped
-    # core's first-convention mode-1 unfolding
+    # the mode-n unfolding of the composition factors as the skipped core's
+    # mode-1 unfolding times the subchain matrix of the other two
     rng = np.random.default_rng(3)
     for _ in range(25):
         f = _random_factors(rng)
         x = compose(f)
         scale = max(np.linalg.norm(x), 1.0)
         for n in range(3):
-            lhs = unfold_cyclic(x, n)
-            rhs = unfold_first(f.cores[n], 1) @ unfold_cyclic(subchain(f, n), 1).T
+            lhs = unfold(x, n)
+            rhs = unfold(f.cores[n], 1) @ _subchain(f, n)
             assert np.linalg.norm(lhs - rhs) < 1e-10 * scale
 
 

@@ -1,8 +1,7 @@
 """Unfolding/folding oracles by direct index enumeration.
 
-The two matricization conventions only differ in how the remaining modes are
-ordered along the columns: natural order vs cyclic order starting after the
-unfolded mode. Both keep the earliest listed mode fastest (Fortran style), so
+The one matricization puts the unfolded mode on the rows and the other modes
+on the columns in cyclic order after it, the last one fastest (C style), so
 every test here recomputes column positions from scratch and compares.
 """
 
@@ -10,81 +9,56 @@ import numpy as np
 import pytest
 
 from helpers import cyclic_shift
-from trfuse.tensor import (fold, frobenius_norm, l1_norm, mode_n_product,
-                           rel_change, unfold, unfold_cyclic, unfold_first)
+from trfuse.tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
 def _column_of(idx, dims, rest):
     col = 0
-    stride = 1
     for m in rest:
-        col += idx[m] * stride
-        stride *= dims[m]
+        col = col * dims[m] + idx[m]
     return col
-
-
-def _enumerate_check(t, mode, convention):
-    dims = t.shape
-    ndim = t.ndim
-    if convention == "first":
-        rest = [m for m in range(ndim) if m != mode]
-    else:
-        rest = [(mode + k) % ndim for k in range(1, ndim)]
-    m = unfold(t, mode, convention)
-    assert m.shape == (dims[mode], int(np.prod([dims[r] for r in rest])))
-    for idx in np.ndindex(*dims):
-        col = _column_of(idx, dims, rest)
-        assert m[idx[mode], col] == t[idx]
-
-
-def test_unfold_first_matches_enumeration():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        dims = tuple(rng.integers(2, 5, size=3))
-        t = rng.standard_normal(dims)
-        for mode in range(3):
-            _enumerate_check(t, mode, "first")
 
 
 def test_unfold_cyclic_matches_enumeration():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        dims = tuple(rng.integers(2, 5, size=3))
-        t = rng.standard_normal(dims)
-        for mode in range(3):
-            _enumerate_check(t, mode, "cyclic")
+        for ndim in (2, 3, 4):
+            dims = tuple(int(v) for v in rng.integers(2, 5, size=ndim))
+            t = rng.standard_normal(dims)
+            for mode in range(ndim):
+                rest = [(mode + k) % ndim for k in range(1, ndim)]
+                m = unfold(t, mode)
+                assert m.shape == (dims[mode], t.size // dims[mode])
+                for idx in np.ndindex(*dims):
+                    assert m[idx[mode], _column_of(idx, dims, rest)] == t[idx]
 
 
-def test_unfold_conventions_agree_on_mode_0_of_2way():
-    # with only one remaining mode the orderings coincide
-    rng = np.random.default_rng(2)
-    t = rng.standard_normal((4, 7))
-    np.testing.assert_array_equal(unfold(t, 0, "first"), unfold(t, 0, "cyclic"))
+def test_unfold_mode_0_is_a_view():
+    t = np.random.default_rng(2).standard_normal((4, 3, 5))
+    assert np.shares_memory(unfold(t, 0), t)
 
 
-def test_fold_inverts_unfold_both_conventions():
+def test_fold_inverts_unfold():
     rng = np.random.default_rng(3)
     for _ in range(10):
         ndim = int(rng.integers(2, 5))
         dims = tuple(rng.integers(2, 5, size=ndim))
         t = rng.standard_normal(dims)
         for mode in range(ndim):
-            for conv in ("first", "cyclic"):
-                m = unfold(t, mode, conv)
-                np.testing.assert_array_equal(fold(m, mode, dims, conv), t)
+            np.testing.assert_array_equal(fold(unfold(t, mode), mode, dims), t)
 
 
 def test_fold_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        fold(np.zeros((3, 5)), 0, (3, 4, 2), "first")
+        fold(np.zeros((3, 5)), 0, (3, 4, 2))
 
 
-def test_unfold_rejects_bad_mode_and_convention():
+def test_unfold_rejects_bad_mode():
     t = np.zeros((2, 3, 4))
     with pytest.raises(ValueError):
-        unfold(t, 3, "first")
+        unfold(t, 3)
     with pytest.raises(ValueError):
-        unfold(t, 0, "rowmajor")
+        unfold(t, -1)
 
 
 def test_mode_product_triple_loop_oracle():
@@ -107,15 +81,14 @@ def test_mode_product_triple_loop_oracle():
 
 
 def test_mode_product_unfolding_identity():
-    # unfold(t x_n U, n) == U @ unfold(t, n) under either convention
+    # unfold(t x_n U, n) == U @ unfold(t, n)
     rng = np.random.default_rng(5)
     t = rng.standard_normal((4, 5, 3))
     for mode in range(3):
         u = rng.standard_normal((7, t.shape[mode]))
         prod = mode_n_product(t, u, mode)
-        for conv in ("first", "cyclic"):
-            np.testing.assert_allclose(unfold(prod, mode, conv),
-                                       u @ unfold(t, mode, conv), atol=1e-12)
+        np.testing.assert_allclose(unfold(prod, mode), u @ unfold(t, mode),
+                                   atol=1e-12)
 
 
 def test_cyclic_shift_entry_mapping():
@@ -139,12 +112,3 @@ def test_norms_against_manual():
     t = rng.standard_normal((4, 3, 2))
     assert abs(frobenius_norm(t) - np.sqrt(np.sum(t * t))) < 1e-12
     assert abs(l1_norm(t) - np.sum(np.abs(t))) < 1e-12
-
-
-def test_rel_change_definition_and_zero_reference():
-    a = np.ones((2, 2))
-    b = np.zeros((2, 2))
-    # denominator is the first argument
-    assert abs(rel_change(a, b) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        rel_change(b, a)
