@@ -35,12 +35,26 @@ def rescale_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if hi == lo:
         raise ValueError("reference tensor is constant; rescale undefined")
     scale = PEAK / (hi - lo)
-    return (ref - lo) * scale, (est - lo) * scale
+    ref, est = ref - lo, est - lo
+    ref *= scale
+    est *= scale
+    return ref, est
+
+
+def _band_mse(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """Mean squared error per band, formed one mode-0 slab at a time, so no
+    cube-sized temporary is held."""
+    total = np.zeros(ref.shape[2])
+    for r, e in zip(ref, est):
+        d = r - e
+        d *= d
+        total += d.sum(axis=0)
+    return total / (ref.shape[0] * ref.shape[1])
 
 
 def psnr_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
     ref, est = _check_pair(ref, est)
-    mse = np.mean((ref - est) ** 2, axis=(0, 1))
+    mse = _band_mse(ref, est)
     out = np.full(ref.shape[2], np.inf)
     nz = mse > 0
     out[nz] = 10.0 * np.log10(PEAK * PEAK / mse[nz])
@@ -108,7 +122,7 @@ def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
     ref, est = _check_pair(ref, est)
     if factor <= 0:
         raise ValueError("resolution factor must be positive")
-    rmse = np.sqrt(np.mean((ref - est) ** 2, axis=(0, 1)))
+    rmse = np.sqrt(_band_mse(ref, est))
     means = np.mean(ref, axis=(0, 1))
     if np.any(means == 0):
         raise ValueError("ergas undefined: a reference band has zero mean")
@@ -119,8 +133,9 @@ def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
     ref, est = _check_pair(ref, est)
     a = ref.reshape(-1, ref.shape[2])
     b = est.reshape(-1, est.shape[2])
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    # row dots by einsum, which forms no cube-sized product
+    na = np.sqrt(np.einsum("pk,pk->p", a, a))
+    nb = np.sqrt(np.einsum("pk,pk->p", b, b))
     keep = (na > 0) & (nb > 0)
     skipped = int(np.size(na) - np.count_nonzero(keep))
     if not np.any(keep):
@@ -128,10 +143,10 @@ def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
     if ref.shape[2] < 2:
         # one-element spectra are colinear or opposite: a sign test, not an angle
         return np.nan, skipped
-    cosang = np.sum(a[keep] * b[keep], axis=1) / (na[keep] * nb[keep])
+    cosang = np.einsum("pk,pk->p", a, b)[keep] / (na[keep] * nb[keep])
     angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     # arccos near 1 cannot resolve the zero angle of bit-equal spectra
-    angles[np.all(a[keep] == b[keep], axis=1)] = 0.0
+    angles[np.all(a == b, axis=1)[keep]] = 0.0
     return float(np.mean(angles)), skipped
 
 

@@ -1,4 +1,4 @@
-"""Tensor-ring factor algebra: composition, subchains, and initializations.
+"""Tensor-ring factor algebra: compose, inner, subchains and initializations.
 
 A 3-way tensor X of extents (I1, I2, I3) is represented by three cores
 G1 (R1, I1, R2), G2 (R2, I2, R3), G3 (R3, I3, R1); the entry at (i1, i2, i3)
@@ -74,21 +74,30 @@ def merge_cores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None], b.transpose(2, 0, 1)).reshape(ra * rc, j * k)
 
 
-def compose(f: TRFactors, out: np.ndarray | None = None) -> np.ndarray:
+def compose(f: TRFactors) -> np.ndarray:
     """Evaluate the full tensor from its ring cores.
 
     The ring unfolding identity at mode 0, ``unfold(X, 0)`` being a view of
-    the C-ordered cube: the product is written straight into the cube, into
-    ``out`` when given (a C-contiguous float cube of extents ``f.dims``,
-    which is returned), else into the only cube-sized allocation.
+    the C-ordered cube: the product is written straight into the cube, the
+    only cube-sized allocation.
     """
     g0, g1, g2 = f.cores
-    if out is None:
-        out = np.empty(f.dims)
-    elif out.shape != f.dims or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous cube of extents {f.dims}")
+    out = np.empty(f.dims)
     np.matmul(unfold(g0, 1), merge_cores(g1, g2), out=unfold(out, 0))
     return out
+
+
+def inner(f: TRFactors, g: TRFactors) -> float:
+    """The inner product <compose(f), compose(g)>, formed without either cube.
+
+    Core n's transfer matrix sums kron(F_n[:, i, :], G_n[:, i, :]) over the
+    extent i, an (Ra·Rc, Rb·Rd) matrix for cores of ranks (Ra, Rb) and
+    (Rc, Rd); the inner product is the trace of the ring's product of the
+    three (Zhao et al., arXiv:1606.05535). O(I·R⁴) work per core.
+    """
+    a, b, c = (np.einsum("aib,cid->acbd", p, q).reshape(p.shape[0] * q.shape[0], -1)
+               for p, q in zip(f.cores, g.cores))
+    return float(np.trace(a @ b @ c))
 
 
 def random_init(dims: tuple[int, int, int], ranks: tuple[int, int, int],

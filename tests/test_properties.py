@@ -6,11 +6,11 @@ would hold nothing worth keeping; none is kept.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trfuse.degradation import DegradationModel
-from trfuse.ring import TRFactors, compose, merge_cores
+from trfuse.ring import TRFactors, compose, inner, merge_cores
 from trfuse.solver import (SolverConfig, _block_system, block_constants,
                            sylvester_preconditioner)
 from trfuse.tensor import fold, unfold
@@ -38,6 +38,20 @@ def test_compose_is_the_trace_of_slice_products(dims, ranks, seed):
         sub = merge_cores(cores[(n + 1) % 3], cores[(n + 2) % 3])
         rhs = unfold(cores[n], 1) @ sub
         assert np.linalg.norm(unfold(want, n) - rhs) <= 1e-12 * scale, n
+
+
+@PROPERTY
+@given(dims=extents, ranks_f=ranks, ranks_g=ranks, seed=seeds)
+def test_inner_is_the_inner_product_of_the_composed_cubes(dims, ranks_f, ranks_g,
+                                                         seed):
+    assume(ranks_f != ranks_g)
+    rng = np.random.default_rng(seed)
+    f, g = (TRFactors(tuple(rng.standard_normal((r[n], dims[n], r[(n + 1) % 3]))
+                            for n in range(3)))
+            for r in (ranks_f, ranks_g))
+    xf, xg = compose(f), compose(g)
+    bound = 1e-12 * np.linalg.norm(xf) * np.linalg.norm(xg)
+    assert abs(inner(f, g) - np.vdot(xf, xg)) <= bound
 
 
 @PROPERTY

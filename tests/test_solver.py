@@ -260,6 +260,49 @@ def test_solve_is_deterministic():
     assert [h.rel_change for h in a.history] == [h.rel_change for h in b.history]
 
 
+def test_rel_change_matches_the_composed_cubes():
+    # each row's rel_change, taken from ring inner products, against the
+    # cubes of the runs that stop after k = 1, 2 and 3 outer iterations
+    f, x, model, y, z = _small_problem(noisy=True)
+    init = random_init((8, 8, 6), (2, 2, 2), seed=4)
+    cubes = [compose(init)]
+    for k_max in (1, 2, 3):
+        res = solve(y, z, model, SolverConfig(ranks=(2, 2, 2), k_max=k_max),
+                    init_factors_override=init)
+        assert len(res.history) == k_max
+        cubes.append(res.fused)
+    for h, prev, new in zip(res.history, cubes, cubes[1:]):
+        want = np.linalg.norm(new - prev) / np.linalg.norm(new)
+        assert abs(h.rel_change - want) <= 1e-8 * want, h.k
+
+
+def test_solve_composes_the_estimate_once(monkeypatch):
+    # objective composes the observation-sized cubes; only full-size
+    # composes are counted
+    f, x, model, y, z = _small_problem(noisy=True)
+    full = []
+
+    def counting(factors):
+        if factors.dims == x.shape:
+            full.append(factors.dims)
+        return compose(factors)
+
+    monkeypatch.setattr("trfuse.solver.compose", counting)
+    cfg = SolverConfig(ranks=(2, 2, 2), k_max=5, stop_tol=1e-12)
+    res = solve(y, z, model, cfg,
+                init_factors_override=random_init(x.shape, (2, 2, 2), seed=4))
+    assert len(res.history) == 5
+    assert len(full) == 1
+
+
+def test_solve_raises_when_the_estimate_collapses():
+    # zero observations give zero initial cores, which no block update moves
+    f, x, model, y, z = _small_problem()
+    cfg = SolverConfig(ranks=(2, 2, 2), k_max=3)
+    with pytest.raises(SolverDivergenceError, match="collapsed to zero at outer 1"):
+        solve(np.zeros_like(y), np.zeros_like(z), model, cfg)
+
+
 def test_solve_raises_on_nonfinite_input(monkeypatch):
     f, x, model, y, z = _small_problem()
 
