@@ -47,8 +47,7 @@ import numpy as np
 
 from .degradation import DegradationModel
 from .prox import ltnn_prox, ltnn_value, soft_shrink_weighted, update_weights
-from .ring import (TRFactors, compose, inner, merge_cores, random_init,
-                   tr_svd_init)
+from .ring import TRFactors, compose, inner, merge_cores, tr_svd_init
 from .tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
@@ -78,7 +77,6 @@ class SolverConfig:
     cg_tol: float = 1e-6
     cg_max: int = 300
     stop_tol: float = 1e-4
-    init: str = "tr_svd"
     seed: int = 0
     beta_scales: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
@@ -97,8 +95,6 @@ class SolverConfig:
             raise ValueError("k_max and seed must be nonnegative")
         if self.inner_max < 1 or self.cg_max < 1:
             raise ValueError("inner_max and cg_max must be at least 1")
-        if self.init not in ("tr_svd", "random"):
-            raise ValueError(f"unknown init scheme {self.init!r}")
         object.__setattr__(self, "beta_scales",
                            tuple(float(s) for s in self.beta_scales))
         if len(self.beta_scales) != 3 or any(s < 0 for s in self.beta_scales):
@@ -381,8 +377,6 @@ def initial_factors(y: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> TRFactor
     r1, r2, r3 = cfg.ranks
     big_w, big_h, _ = z.shape
     bands = y.shape[2]
-    if cfg.init == "random":
-        return random_init((big_w, big_h, bands), cfg.ranks, cfg.seed)
     fz = tr_svd_init(z, cfg.ranks)
     fy = tr_svd_init(y, cfg.ranks)
     return TRFactors((_pad_core(fz.cores[0], (r1, big_w, r2)),

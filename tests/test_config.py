@@ -19,8 +19,7 @@ EXPERIMENT_KEYS = (
     "factor", "msi_bands", "band_groups", "snr_y_db", "snr_z_db")
 SOLVER_KEYS = (
     "ranks", "lambda", "alpha", "beta", "eta", "mu", "eps_log", "varsigma",
-    "k_max", "inner_max", "inner_tol", "cg_tol", "cg_max", "stop_tol", "init",
-    "seed")
+    "k_max", "inner_max", "inner_tol", "cg_tol", "cg_max", "stop_tol", "seed")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,6 +49,8 @@ def test_unknown_keys_rejected():
         parse_experiment_config(_minimal(kernel_sigma=2.0))
     with pytest.raises(ConfigError):
         parse_experiment_config(_minimal(lam=1.0))  # JSON spells it lambda
+    with pytest.raises(ConfigError, match="unknown"):
+        parse_experiment_config(_minimal(init="tr_svd"))  # no key picks the start
 
 
 def test_lambda_key_maps_to_lam():
@@ -73,7 +74,7 @@ def test_type_validation():
                 _minimal(sigma="wide"), _minimal(seed=1.5),
                 _minimal(ranks=[2, 4]),
                 _minimal(ranks=[2, 4, 2.0]), _minimal(band_groups=[[0], 1]),
-                _minimal(init="svd"), _minimal(ground_truth=7),
+                _minimal(ground_truth=7),
                 _minimal(sigma=float("nan"))):
         with pytest.raises(ConfigError):
             parse_experiment_config(bad)
@@ -168,7 +169,7 @@ def test_config_is_frozen():
 
 
 def test_json_schema_is_pinned():
-    assert len(EXPERIMENT_KEYS) + len(SOLVER_KEYS) == 27
+    assert len(EXPERIMENT_KEYS) + len(SOLVER_KEYS) == 26
     default = ExperimentConfig().as_dict()
     assert set(default) == {*EXPERIMENT_KEYS, *SOLVER_KEYS}
     # every key away from its default, split over the mutually exclusive
@@ -178,7 +179,7 @@ def test_json_schema_is_pinned():
               "lambda": 0.25, "alpha": 2e-3, "beta": 0.75, "eta": 2.0,
               "mu": 0.5, "eps_log": 0.05, "varsigma": 1e-2, "k_max": 7,
               "inner_max": 3, "inner_tol": 1e-2, "cg_tol": 1e-8, "cg_max": 40,
-              "stop_tol": 1e-5, "init": "random", "seed": 9}
+              "stop_tol": 1e-5, "seed": 9}
     raws = ({**shared, "ground_truth": "gt.tnsr",
              "band_groups": [[0, 1], [2]]},
             {**shared, "y": "y.tnsr", "z": "z.tnsr",

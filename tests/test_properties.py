@@ -5,12 +5,15 @@ derandomized, so a failure reproduces on every run and an example database
 would hold nothing worth keeping; none is kept.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trfuse.degradation import DegradationModel
-from trfuse.ring import TRFactors, compose, inner, merge_cores
+from trfuse.ring import (TRFactors, _sequential_svd, compose, inner, merge_cores,
+                         tr_svd_init)
 from trfuse.solver import (SolverConfig, _block_system, block_constants,
                            sylvester_preconditioner)
 from trfuse.tensor import fold, unfold
@@ -88,3 +91,24 @@ def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
         g = sylvester_preconditioner(c.a1_eig, op.b1, op.e)(r)
         residual = op.a1 @ g @ op.b1 + g @ op.e - r
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r), n
+
+
+@PROPERTY
+@given(dims=extents, ranks=ranks, seed=seeds)
+def test_tr_svd_init_is_finite_clamped_and_no_worse_than_its_svd(dims, ranks, seed):
+    t = np.random.default_rng(seed).standard_normal(dims)
+    # the clamping rule, written out: R1·R2 at most min(I1, I2·I3), then R3
+    # at most both extents of the second split
+    (i1, i2, i3), (r1, r2, r3) = dims, ranks
+    kmax = min(i1, i2 * i3)
+    if r1 * r2 > kmax:
+        r1, r2 = (kmax, 1) if r1 > kmax else (r1, max(1, kmax // r1))
+    r3 = min(r3, i2 * r2, r1 * i3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        f = tr_svd_init(t, ranks)
+        svd = _sequential_svd(t, (r1, r2, ranks[2]))
+    assert f.ranks == (r1, r2, r3)
+    assert all(np.all(np.isfinite(c)) for c in f.cores)
+    err = np.linalg.norm(compose(f) - t)
+    assert err <= np.linalg.norm(compose(svd) - t) + 1e-12 * np.linalg.norm(t)

@@ -315,12 +315,12 @@ def test_solve_raises_on_nonfinite_input(monkeypatch):
         y_bad[0, 0, 0] = bad
         z_bad = z.copy()
         z_bad[1, 2, 0] = bad
-        for init in ("tr_svd", "random"):
-            cfg = SolverConfig(ranks=(2, 2, 2), k_max=3, init=init)
+        cfg = SolverConfig(ranks=(2, 2, 2), k_max=3)
+        for override in (None, random_init(x.shape, (2, 2, 2), seed=0)):
             with pytest.raises(ValueError, match="y contains NaN or Inf"):
-                solve(y_bad, z, model, cfg)
+                solve(y_bad, z, model, cfg, init_factors_override=override)
             with pytest.raises(ValueError, match="z contains NaN or Inf"):
-                solve(y, z_bad, model, cfg)
+                solve(y, z_bad, model, cfg, init_factors_override=override)
 
 
 def test_solve_validates_shapes():
@@ -347,15 +347,6 @@ def test_initial_factors_pad_clamped_ranks():
     assert init.dims == (8, 8, 6)
 
 
-def test_initial_factors_random_mode_is_seeded():
-    f, x, model, y, z = _small_problem()
-    a = initial_factors(y, z, SolverConfig(ranks=(2, 2, 2), init="random", seed=4))
-    b = initial_factors(y, z, SolverConfig(ranks=(2, 2, 2), init="random", seed=4))
-    for ca, cb in zip(a.cores, b.cores):
-        np.testing.assert_array_equal(ca, cb)
-    assert a.dims == (8, 8, 6)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(ranks=(0, 2, 2))
@@ -369,8 +360,6 @@ def test_config_validation():
         SolverConfig(k_max=-1)
     with pytest.raises(ValueError):
         SolverConfig(seed=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(init="pca")
     with pytest.raises(ValueError):
         SolverConfig(beta_scales=(1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
