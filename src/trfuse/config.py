@@ -3,7 +3,7 @@
 One JSON object with snake_case keys drives every CLI command. Each key is a
 field of exactly one dataclass: the solver settings are the fields of
 ``SolverConfig`` (held as ``ExperimentConfig.solver``), the inputs,
-degradation and noise those of ``ExperimentConfig``.
+degradation, noise and its seed those of ``ExperimentConfig``.
 ``lambda`` is the one key spelled unlike its field (``lam``). Unknown keys
 are rejected so typos fail loudly. Exactly one of ``ground_truth`` or the
 pair ``y``/``z`` must be present.
@@ -35,7 +35,12 @@ class ExperimentConfig:
     band_groups: tuple[tuple[int, ...], ...] | None = None
     snr_y_db: float | None = 25.0
     snr_z_db: float | None = 30.0
+    seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def as_dict(self) -> dict:
         """The flat JSON object this config parses from."""
@@ -149,6 +154,6 @@ def with_seed(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
     if seed is None:
         return cfg
     try:
-        return replace(cfg, solver=replace(cfg.solver, seed=int(seed)))
+        return replace(cfg, seed=int(seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

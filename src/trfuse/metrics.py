@@ -3,13 +3,23 @@
 All functions take two equally shaped 3-way arrays (width, height, bands).
 Callers are expected to rescale both cubes with :func:`rescale_pair` first so
 the reference spans [0, 255]; the indices themselves are plain arithmetic.
+
+SSIM and UIQI are the same five local moments (two means, two variances and
+a covariance) under two windows: SSIM's 11x11 Gaussian, and UIQI's box,
+which makes UIQI SSIM with C1 = C2 = 0 (Wang & Bovik, IEEE SPL 9(3), 2002).
+A band narrower than the window is one whole-band window whose moments are
+centred on the band means before squaring, so a constant band's variance is
+at most a squared rounding error and UIQI skips the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .degradation import gaussian_kernel
 
 PEAK = 255.0
 SSIM_WINDOW = 11
@@ -66,10 +76,29 @@ def psnr(ref: np.ndarray, est: np.ndarray) -> float:
     return float(np.mean(psnr_per_band(ref, est)))
 
 
-def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
-    x = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return g / g.sum()
+def _bands(ref: np.ndarray, est: np.ndarray):
+    """Each band of a checked pair, as a contiguous (ref, est) pair; the
+    filter passes and cumulative sums run faster on contiguous bands."""
+    for band in range(ref.shape[2]):
+        yield np.ascontiguousarray(ref[:, :, band]), np.ascontiguousarray(est[:, :, band])
+
+
+def _moments(x: np.ndarray, y: np.ndarray, mean, window: int) -> tuple:
+    """Local means, variances and covariance of two bands, as 2-D maps.
+
+    ``mean`` is the valid-mode mean over ``window`` x ``window`` windows.
+    Bands narrower than the window get one whole-band window, taken in two
+    passes: centring first leaves a constant band a variance of at most a
+    squared rounding error, where E[x²] - mu² would leave the error itself.
+    """
+    if min(x.shape) < window:
+        mu1, mu2 = x.mean(), y.mean()
+        dx, dy = x - mu1, y - mu2
+        return tuple(np.full((1, 1), m) for m in
+                     (mu1, mu2, np.mean(dx * dx), np.mean(dy * dy), np.mean(dx * dy)))
+    mu1, mu2 = mean(x), mean(y)
+    return (mu1, mu2, mean(x * x) - mu1 * mu1, mean(y * y) - mu2 * mu2,
+            mean(x * y) - mu1 * mu2)
 
 
 def _windowed_mean(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -77,14 +106,6 @@ def _windowed_mean(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     sliding = np.lib.stride_tricks.sliding_window_view
     rows = sliding(x, taps.size, axis=0) @ taps
     return sliding(rows, taps.size, axis=1) @ taps
-
-
-def _ssim_from_stats(mu1, mu2, var1, var2, cov):
-    c1 = (0.01 * PEAK) ** 2
-    c2 = (0.03 * PEAK) ** 2
-    num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
-    den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-    return num / den
 
 
 def ssim(ref: np.ndarray, est: np.ndarray) -> float:
@@ -95,25 +116,15 @@ def ssim(ref: np.ndarray, est: np.ndarray) -> float:
     global statistics.
     """
     ref, est = _check_pair(ref, est)
+    mean = partial(_windowed_mean, taps=gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA))
+    c1 = (0.01 * PEAK) ** 2
+    c2 = (0.03 * PEAK) ** 2
     vals = []
-    windowed = min(ref.shape[0], ref.shape[1]) >= SSIM_WINDOW
-    taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
-    for band in range(ref.shape[2]):
-        x, y = ref[:, :, band], est[:, :, band]
-        if windowed:
-            # the filter passes run faster on contiguous bands
-            x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-            mu1 = _windowed_mean(x, taps)
-            mu2 = _windowed_mean(y, taps)
-            var1 = _windowed_mean(x * x, taps) - mu1 * mu1
-            var2 = _windowed_mean(y * y, taps) - mu2 * mu2
-            cov = _windowed_mean(x * y, taps) - mu1 * mu2
-            vals.append(float(np.mean(_ssim_from_stats(mu1, mu2, var1, var2, cov))))
-        else:
-            mu1, mu2 = x.mean(), y.mean()
-            var1, var2 = x.var(), y.var()
-            cov = float(np.mean((x - mu1) * (y - mu2)))
-            vals.append(float(_ssim_from_stats(mu1, mu2, var1, var2, cov)))
+    for x, y in _bands(ref, est):
+        mu1, mu2, var1, var2, cov = _moments(x, y, mean, SSIM_WINDOW)
+        num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
+        den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
+        vals.append(float(np.mean(num / den)))
     return float(np.mean(vals))
 
 
@@ -158,16 +169,11 @@ def sam(ref: np.ndarray, est: np.ndarray) -> float:
     return _sam_and_skipped(ref, est)[0]
 
 
-def _box_sums(x: np.ndarray, w: int) -> np.ndarray:
+def _box_mean(x: np.ndarray, w: int) -> np.ndarray:
+    """Valid-mode mean over w x w boxes, from one 2-D cumulative sum."""
     c = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
     c[1:, 1:] = x.cumsum(axis=0).cumsum(axis=1)
-    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
-
-
-def _uiqi_from_stats(mu1, mu2, var1, var2, cov):
-    num = 4.0 * cov * mu1 * mu2
-    den = (var1 + var2) * (mu1 * mu1 + mu2 * mu2)
-    return num, den
+    return (c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]) / (w * w)
 
 
 def uiqi_per_band(ref: np.ndarray, est: np.ndarray,
@@ -180,23 +186,12 @@ def uiqi_per_band(ref: np.ndarray, est: np.ndarray,
     ref, est = _check_pair(ref, est)
     if window < 1:
         raise ValueError("window must be positive")
-    w = window
-    windowed = min(ref.shape[0], ref.shape[1]) >= w
+    mean = partial(_box_mean, w=window)
     out = np.empty(ref.shape[2])
-    for band in range(ref.shape[2]):
-        x, y = ref[:, :, band], est[:, :, band]
-        if windowed:
-            area = float(w * w)
-            mu1 = _box_sums(x, w) / area
-            mu2 = _box_sums(y, w) / area
-            var1 = _box_sums(x * x, w) / area - mu1 * mu1
-            var2 = _box_sums(y * y, w) / area - mu2 * mu2
-            cov = _box_sums(x * y, w) / area - mu1 * mu2
-        else:
-            mu1, mu2 = np.array([[x.mean()]]), np.array([[y.mean()]])
-            var1, var2 = np.array([[x.var()]]), np.array([[y.var()]])
-            cov = np.array([[float(np.mean((x - x.mean()) * (y - y.mean())))]])
-        num, den = _uiqi_from_stats(mu1, mu2, var1, var2, cov)
+    for band, (x, y) in enumerate(_bands(ref, est)):
+        mu1, mu2, var1, var2, cov = _moments(x, y, mean, window)
+        num = 4.0 * cov * mu1 * mu2
+        den = (var1 + var2) * (mu1 * mu1 + mu2 * mu2)
         valid = np.abs(den) > _DENOM_FLOOR
         out[band] = float(np.mean(num[valid] / den[valid])) if np.any(valid) else np.nan
     return out

@@ -77,7 +77,6 @@ class SolverConfig:
     cg_tol: float = 1e-6
     cg_max: int = 300
     stop_tol: float = 1e-4
-    seed: int = 0
     beta_scales: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
@@ -91,8 +90,8 @@ class SolverConfig:
         for name in ("alpha", "beta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.k_max < 0 or self.seed < 0:
-            raise ValueError("k_max and seed must be nonnegative")
+        if self.k_max < 0:
+            raise ValueError("k_max must be nonnegative")
         if self.inner_max < 1 or self.cg_max < 1:
             raise ValueError("inner_max and cg_max must be at least 1")
         object.__setattr__(self, "beta_scales",
@@ -140,18 +139,16 @@ def build_difference_matrix(extent: int) -> np.ndarray:
 
 
 def cg_solve(apply, rhs: np.ndarray, tol: float = 1e-6, max_iter: int = 300,
-             x0: np.ndarray | None = None, precondition=None
+             x0: np.ndarray | None = None, *, precondition
              ) -> tuple[np.ndarray, int, float]:
     """Preconditioned conjugate gradients on matrices under the trace inner product.
 
     ``precondition`` applies a symmetric positive definite approximation of
-    the inverse of ``apply``; None is the identity, which is plain CG.
+    the inverse of ``apply``; the identity gives plain CG.
     Returns (x, iterations, relative residual); stops at
     ||apply(x) - rhs|| <= tol * ||rhs|| (the true residual, not the
     preconditioned one) or at max_iter.
     """
-    if precondition is None:
-        precondition = _identity
     rhs = np.asarray(rhs, dtype=float)
     bnorm = float(np.linalg.norm(rhs))
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
@@ -182,10 +179,6 @@ def cg_solve(apply, rhs: np.ndarray, tol: float = 1e-6, max_iter: int = 300,
         relres = math.sqrt(rs) / bnorm
         iters += 1
     return x, iters, relres
-
-
-def _identity(r: np.ndarray) -> np.ndarray:
-    return r
 
 
 def sylvester_preconditioner(a1_eig: tuple[np.ndarray, np.ndarray],

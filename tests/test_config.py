@@ -16,10 +16,10 @@ from trfuse.solver import SolverConfig
 # the JSON schema, written out rather than derived from the parser's table
 EXPERIMENT_KEYS = (
     "ground_truth", "y", "z", "spectral_response", "kernel_size", "sigma",
-    "factor", "msi_bands", "band_groups", "snr_y_db", "snr_z_db")
+    "factor", "msi_bands", "band_groups", "snr_y_db", "snr_z_db", "seed")
 SOLVER_KEYS = (
     "ranks", "lambda", "alpha", "beta", "eta", "mu", "eps_log", "varsigma",
-    "k_max", "inner_max", "inner_tol", "cg_tol", "cg_max", "stop_tol", "seed")
+    "k_max", "inner_max", "inner_tol", "cg_tol", "cg_max", "stop_tol")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -121,8 +121,8 @@ def test_load_from_file(tmp_path):
 def test_with_seed():
     cfg = parse_experiment_config(_minimal(seed=5))
     assert with_seed(cfg, None) is cfg
-    assert with_seed(cfg, 9).solver.seed == 9
-    assert cfg.solver.seed == 5  # original untouched
+    assert with_seed(cfg, 9).seed == 9
+    assert cfg.seed == 5  # original untouched
     with pytest.raises(ConfigError, match="seed"):
         with_seed(cfg, -1)
 
@@ -135,7 +135,7 @@ def test_lowering_defaults():
     sc = cfg.solver
     assert isinstance(sc, SolverConfig)
     assert sc.lam == 0.5 and sc.alpha == 1e-3 and sc.beta == 0.7
-    assert sc.seed == 3
+    assert cfg.seed == 3
     assert sc.beta_scales == (1.0, 1.0, 1.0)
 
 

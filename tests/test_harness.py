@@ -327,10 +327,10 @@ def test_run_metrics(tmp_path):
     saved = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert saved["metrics"] == want
     write_tnsr(ep, est[:, :, :4])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"shape mismatch \(12, 12, 5\) vs \(12, 12, 4\)"):
         run_metrics(rp, ep, 2)
     write_tnsr(ep, est[:, :, 0])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="metrics expect 3-way tensors"):
         run_metrics(rp, ep, 2)
 
 

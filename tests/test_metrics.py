@@ -148,19 +148,24 @@ def test_ssim_small_image_uses_global_stats():
 def test_uiqi_matches_naive_reference_windowed():
     ref, est = _pair((36, 34, 3), 11)
     assert abs(uiqi(ref, est) - _naive_uiqi(ref, est, 32)) < 1e-8
-    # custom smaller window on a smaller image
-    ref, est = _pair((16, 18, 2), 12)
-    assert abs(uiqi(ref, est, window=8) - _naive_uiqi(ref, est, 8)) < 1e-8
+    # custom smaller window on a smaller image, and on bands as wide as the
+    # window and one wider along either axis
+    for shape, seed in (((16, 18, 2), 12), ((8, 9, 2), 23), ((9, 8, 2), 24)):
+        ref, est = _pair(shape, seed)
+        assert abs(uiqi(ref, est, window=8) - _naive_uiqi(ref, est, 8)) < 1e-8
 
 
 def test_uiqi_small_image_global_window_and_nan_band():
-    ref, est = _pair((10, 10, 2), 13)
-    # constant band: denominator vanishes everywhere, band skipped as nan
-    ref[:, :, 1] = 42.0
-    est[:, :, 1] = 42.0
-    per = uiqi_per_band(ref, est)
-    assert np.isnan(per[1]) and np.isfinite(per[0])
-    assert abs(uiqi(ref, est) - per[0]) < 1e-12
+    # constant band: denominator vanishes everywhere, band skipped as nan;
+    # the mean of 42.1s is inexact, so E[x²] - mu² would leave a variance
+    # near 1e-12 where moments centred before squaring leave about 1e-28
+    for level in (42.0, 42.1):
+        ref, est = _pair((10, 10, 2), 13)
+        ref[:, :, 1] = level
+        est[:, :, 1] = level
+        per = uiqi_per_band(ref, est)
+        assert np.isnan(per[1]) and np.isfinite(per[0])
+        assert abs(uiqi(ref, est) - per[0]) < 1e-12
     flat_ref = np.full((10, 10, 1), 7.0)
     with pytest.raises(ValueError):
         uiqi(flat_ref, flat_ref.copy())
