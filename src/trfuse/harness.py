@@ -7,6 +7,7 @@ exception is the wall-clock seconds column of convergence.csv.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .degradation import DegradationModel, add_noise, degrade
-from .metrics import MetricsReport, metrics_report, rescale_pair
+from .metrics import MetricsReport, metrics_report, reference_map, rescale_pair
 from .solver import FusionResult, check_observations, initial_factors, solve
 from .tensor import mode_n_product
 from .tnsr import read_tnsr, write_tnsr
@@ -126,20 +127,24 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     return {"out": str(out), "y_shape": y.shape, "z_shape": z.shape}
 
 
-def _metrics_against(gt: np.ndarray, est: np.ndarray, factor: int) -> MetricsReport:
+@contextmanager
+def _data_errors():
+    """Report a ValueError raised on the loaded data as a DataError."""
     try:
-        ref255, est255 = rescale_pair(gt, est)
-        return metrics_report(ref255, est255, factor)
+        yield
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
 
 def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
+    """Fuse and, given a ground truth, score the fused cube and the baseline.
+
+    Scoring rescales the ground truth once and releases each cube as soon as
+    it is scored, so at most three cube-sized arrays are live after solve.
+    """
     gt, model, y, z = load_inputs(cfg)
-    try:
+    with _data_errors():
         result = solve(y, z, model, cfg.solver)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
     out = _prepare_out(out_dir)
     write_tnsr(out / "xhat.tnsr", result.fused)
     _write_convergence(out / "convergence.csv", result)
@@ -147,21 +152,31 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
                      "cg_iters": sum(h.cg_iters for h in result.history),
                      "cg_capped": sum(h.cg_capped for h in result.history),
                      "effective_ranks": list(result.factors.ranks)}
-    if gt is not None:
-        report = _metrics_against(gt, result.fused, cfg.factor)
-        _write_json(out / "metrics.json",
-                    {"metrics": report.scalars(),
-                     "effective_ranks": list(result.factors.ranks),
-                     "config": cfg.as_dict()})
-        _write_per_band(out / "per_band.csv", report)
-        write_tnsr(out / "error_tensor.tnsr", result.fused - gt)
-        baseline = spectral_lift_baseline(z, model)
-        base_report = _metrics_against(gt, baseline, cfg.factor)
-        _write_json(out / "baseline.json",
-                    {"metrics": base_report.scalars(),
-                     "method": "spectral pseudo-inverse lift"})
-        summary["metrics"] = report.scalars()
-        summary["baseline"] = base_report.scalars()
+    if gt is None:
+        return summary
+    write_tnsr(out / "error_tensor.tnsr", result.fused - gt)
+    with _data_errors():
+        to255 = reference_map(gt)
+    ref255 = to255(gt)
+    del gt
+    est255 = to255(result.fused)
+    del result
+    with _data_errors():
+        report = metrics_report(ref255, est255, cfg.factor)
+    del est255
+    _write_json(out / "metrics.json",
+                {"metrics": report.scalars(),
+                 "effective_ranks": summary["effective_ranks"],
+                 "config": cfg.as_dict()})
+    _write_per_band(out / "per_band.csv", report)
+    base255 = to255(spectral_lift_baseline(z, model))
+    with _data_errors():
+        base_report = metrics_report(ref255, base255, cfg.factor)
+    _write_json(out / "baseline.json",
+                {"metrics": base_report.scalars(),
+                 "method": "spectral pseudo-inverse lift"})
+    summary["metrics"] = report.scalars()
+    summary["baseline"] = base_report.scalars()
     return summary
 
 
@@ -185,19 +200,18 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
     if cfg.ground_truth is None:
         raise ConfigError("ablate requires a ground_truth path")
     gt, model, y, z = load_inputs(cfg)
-    try:
+    with _data_errors():
         y, z = check_observations(y, z, model)
         init = initial_factors(y, z, cfg.solver)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        to255 = reference_map(gt)
+    ref255 = to255(gt)
+    del gt
     rows = []
     for name, overrides in ABLATION_VARIANTS:
         scfg = replace(cfg.solver, **overrides)
-        try:
+        with _data_errors():
             result = solve(y, z, model, scfg, init_factors_override=init)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
-        report = _metrics_against(gt, result.fused, cfg.factor)
+            report = metrics_report(ref255, to255(result.fused), cfg.factor)
         row = {"variant": name, "alpha": scfg.alpha}
         for i in range(3):
             row[f"beta_core{i + 1}"] = scfg.beta * scfg.beta_scales[i]
@@ -217,7 +231,8 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
 def run_metrics(ref_path, est_path, factor: int, out_dir=None) -> dict:
     ref = read_tnsr(ref_path)
     est = read_tnsr(est_path)
-    report = _metrics_against(ref, est, factor)
+    with _data_errors():
+        report = metrics_report(*rescale_pair(ref, est), factor)
     payload = {"metrics": report.scalars(), "ref": str(ref_path),
                "est": str(est_path), "factor": factor}
     if out_dir is not None:

@@ -3,6 +3,10 @@
 All functions take two equally shaped 3-way arrays (width, height, bands).
 Callers are expected to rescale both cubes with :func:`rescale_pair` first so
 the reference spans [0, 255]; the indices themselves are plain arithmetic.
+The rescaled cubes keep their (width, height, bands) shape but are stored
+band-major, so every band ``x[:, :, b]`` is a contiguous view and the per-band
+walks of SSIM and UIQI copy nothing. The indices accept any memory layout;
+the layout only decides whether a band walk copies.
 
 SSIM and UIQI are the same five local moments (two means, two variances and
 a covariance) under two windows: SSIM's 11x11 Gaussian, and UIQI's box,
@@ -14,6 +18,7 @@ at most a squared rounding error and UIQI skips the band.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,28 +43,57 @@ def _check_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ref, est
 
 
+def reference_map(ref: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The affine map that takes the reference's range onto [0, 255].
+
+    The map sends a (W, H, B) cube x to (x - min) * 255 / (max - min), stored
+    band-major. A constant reference has no such map (ValueError).
+    """
+    lo, hi = float(np.min(ref)), float(np.max(ref))
+    if hi == lo:
+        raise ValueError("reference tensor is constant; rescale undefined")
+    return partial(_affine_band_major, lo=lo, scale=PEAK / (hi - lo))
+
+
+def _affine_band_major(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
+    out = np.empty((x.shape[2], x.shape[0], x.shape[1])).transpose(1, 2, 0)
+    np.subtract(x, lo, out=out)
+    out *= scale
+    return out
+
+
 def rescale_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Affinely map the reference range onto [0, 255]; apply the same map to est."""
     ref, est = _check_pair(ref, est)
-    lo, hi = float(ref.min()), float(ref.max())
-    if hi == lo:
-        raise ValueError("reference tensor is constant; rescale undefined")
-    scale = PEAK / (hi - lo)
-    ref, est = ref - lo, est - lo
-    ref *= scale
-    est *= scale
-    return ref, est
+    to255 = reference_map(ref)
+    return to255(ref), to255(est)
+
+
+def _bands(ref: np.ndarray, est: np.ndarray):
+    """Each band of a checked pair, as a contiguous (ref, est) pair; the
+    filter passes and cumulative sums run faster on contiguous bands.
+
+    :func:`rescale_pair` returns band-major cubes, whose bands are views here;
+    a band of any other layout is copied, with the same values.
+    """
+    for band in range(ref.shape[2]):
+        yield np.ascontiguousarray(ref[:, :, band]), np.ascontiguousarray(est[:, :, band])
 
 
 def _band_mse(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Mean squared error per band, formed one mode-0 slab at a time, so no
-    cube-sized temporary is held."""
-    total = np.zeros(ref.shape[2])
-    for r, e in zip(ref, est):
-        d = r - e
+    """Mean squared error per band, one band at a time.
+
+    Each band's squares are summed along each row in order, then over the row
+    sums in order: the order of a mode-0 slab walk over a C-order cube, kept
+    on any layout. Summing the transposed band down its columns keeps each
+    row's order, where a sum along a contiguous row would go pairwise.
+    """
+    out = np.empty(ref.shape[2])
+    for band, (x, y) in enumerate(_bands(ref, est)):
+        d = np.subtract(x.T, y.T, order="C")
         d *= d
-        total += d.sum(axis=0)
-    return total / (ref.shape[0] * ref.shape[1])
+        out[band] = np.cumsum(d.sum(axis=0))[-1]
+    return out / (ref.shape[0] * ref.shape[1])
 
 
 def psnr_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -74,13 +108,6 @@ def psnr_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
 def psnr(ref: np.ndarray, est: np.ndarray) -> float:
     """Band-averaged peak signal-to-noise ratio; +inf for identical inputs."""
     return float(np.mean(psnr_per_band(ref, est)))
-
-
-def _bands(ref: np.ndarray, est: np.ndarray):
-    """Each band of a checked pair, as a contiguous (ref, est) pair; the
-    filter passes and cumulative sums run faster on contiguous bands."""
-    for band in range(ref.shape[2]):
-        yield np.ascontiguousarray(ref[:, :, band]), np.ascontiguousarray(est[:, :, band])
 
 
 def _moments(x: np.ndarray, y: np.ndarray, mean, window: int) -> tuple:
@@ -134,7 +161,10 @@ def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
     if factor <= 0:
         raise ValueError("resolution factor must be positive")
     rmse = np.sqrt(_band_mse(ref, est))
-    means = np.mean(ref, axis=(0, 1))
+    # a running sum over each band's pixels in C order: the order of a C-order
+    # cube's mean over its leading axes, kept on any layout
+    sums = [np.cumsum(ref[:, :, band])[-1] for band in range(ref.shape[2])]
+    means = np.array(sums) / (ref.shape[0] * ref.shape[1])
     if np.any(means == 0):
         raise ValueError("ergas undefined: a reference band has zero mean")
     return float(100.0 / factor * np.sqrt(np.mean((rmse / means) ** 2)))
@@ -142,11 +172,15 @@ def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
 
 def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
     ref, est = _check_pair(ref, est)
-    a = ref.reshape(-1, ref.shape[2])
-    b = est.reshape(-1, est.shape[2])
-    # row dots by einsum, which forms no cube-sized product
-    na = np.sqrt(np.einsum("pk,pk->p", a, a))
-    nb = np.sqrt(np.einsum("pk,pk->p", b, b))
+    # row dots by einsum, one mode-0 slab at a time: no cube-sized product,
+    # and a C-order slab has each spectrum summed in one order on any layout
+    dots = []
+    for r, e in zip(ref, est):
+        r, e = np.ascontiguousarray(r), np.ascontiguousarray(e)
+        dots.append((np.einsum("pk,pk->p", r, r), np.einsum("pk,pk->p", e, e),
+                     np.einsum("pk,pk->p", r, e), np.all(r == e, axis=1)))
+    aa, bb, ab, equal = (np.concatenate(c) for c in zip(*dots))
+    na, nb = np.sqrt(aa), np.sqrt(bb)
     keep = (na > 0) & (nb > 0)
     skipped = int(np.size(na) - np.count_nonzero(keep))
     if not np.any(keep):
@@ -154,10 +188,10 @@ def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
     if ref.shape[2] < 2:
         # one-element spectra are colinear or opposite: a sign test, not an angle
         return np.nan, skipped
-    cosang = np.einsum("pk,pk->p", a, b)[keep] / (na[keep] * nb[keep])
+    cosang = ab[keep] / (na[keep] * nb[keep])
     angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     # arccos near 1 cannot resolve the zero angle of bit-equal spectra
-    angles[np.all(a == b, axis=1)[keep]] = 0.0
+    angles[equal[keep]] = 0.0
     return float(np.mean(angles)), skipped
 
 

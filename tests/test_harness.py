@@ -7,6 +7,7 @@ plumbing, not reconstruction quality.
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,29 @@ def test_run_fuse_full_outputs(gt_file, tmp_path):
     assert parse_experiment_config(meta["config"]) == cfg
     base = json.loads((out / "baseline.json").read_text())
     assert set(base["metrics"]) == set(summary["metrics"])
+
+
+def test_run_fuse_scores_with_few_cubes_live(tmp_path, monkeypatch):
+    gt = _phantom(dims=(32, 32, 16))
+    write_tnsr(tmp_path / "gt.tnsr", gt)
+    cube_bytes = gt.nbytes
+    del gt
+    live = []
+
+    def report_at_entry(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return metrics_report(*args, **kwargs)
+
+    monkeypatch.setattr(trfuse.harness, "metrics_report", report_at_entry)
+    tracemalloc.start()
+    try:
+        run_fuse(_base_config(tmp_path / "gt.tnsr"), tmp_path / "fused")
+    finally:
+        tracemalloc.stop()
+    # the fused report, then the baseline's: the rescaled ground truth and the
+    # rescaled baseline, with the observations and the model beside them
+    assert len(live) == 2
+    assert live[1] < 5 * cube_bytes
 
 
 def test_run_fuse_without_ground_truth_skips_scoring(gt_file, tmp_path):
@@ -332,6 +356,10 @@ def test_run_metrics(tmp_path):
     write_tnsr(ep, est[:, :, 0])
     with pytest.raises(DataError, match="metrics expect 3-way tensors"):
         run_metrics(rp, ep, 2)
+    write_tnsr(rp, np.full(ref.shape, 0.5))
+    write_tnsr(ep, est)
+    with pytest.raises(DataError, match="reference tensor is constant"):
+        run_metrics(rp, ep, 2)
 
 
 def test_cli_version(capsys):
@@ -489,8 +517,10 @@ def test_cli_divergence_exit_4(tmp_path, capsys):
         {"y": str(tmp_path / "y.tnsr"), "z": str(tmp_path / "z.tnsr"),
          "factor": 2, "msi_bands": 4, "kernel_size": 3, "ranks": [2, 3, 2],
          "k_max": 2}))
-    assert main(["fuse", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "o")]) == 4
+    # the 4x4 observation cannot carry the requested ranks
+    with pytest.warns(UserWarning, match="clamped"):
+        assert main(["fuse", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 4
     assert "diverged" in capsys.readouterr().err
 
 

@@ -6,6 +6,8 @@ compute every statistic directly, sharing no code with the module under test.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trfuse.metrics import (MetricsReport, ergas, metrics_report, psnr,
                             psnr_per_band, rescale_pair, sam, ssim, uiqi,
@@ -239,8 +241,32 @@ def test_rescale_pair_affine_map():
     assert abs(ref2.max() - PEAK) < 1e-12
     scale = PEAK / (ref.max() - ref.min())
     np.testing.assert_allclose(est2, (est - ref.min()) * scale, atol=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reference tensor is constant"):
         rescale_pair(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+def test_rescale_pair_writes_band_major_cubes():
+    ref, est = _pair((12, 9, 4), 18)
+    for cube in rescale_pair(ref, est):
+        assert cube.shape == (12, 9, 4)
+        assert all(cube[:, :, b].flags.c_contiguous for b in range(4))
+
+
+# one band, bands narrower than SSIM's 11 and UIQI's 32 window, non-square bands
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(dims=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 5)),
+       seed=st.integers(0, 2**32 - 1))
+def test_indices_do_not_depend_on_the_layout(dims, seed):
+    assume(np.prod(dims) > 1)  # a one-voxel reference is constant
+    rng = np.random.default_rng(seed)
+    ref = rng.uniform(0.0, 1.0, size=dims)
+    est = ref + rng.normal(0.0, 0.05, size=dims)
+    ref255, est255 = rescale_pair(ref, est)
+    ref_c, est_c = np.ascontiguousarray(ref255), np.ascontiguousarray(est255)
+    # every index sums in one order on any layout, so all five are bit-equal
+    for index in (psnr_per_band, uiqi_per_band, ssim, sam):
+        np.testing.assert_array_equal(index(ref255, est255), index(ref_c, est_c))
+    assert ergas(ref255, est255, 2.0) == ergas(ref_c, est_c, 2.0)
 
 
 def test_shape_validation():
