@@ -6,7 +6,11 @@ plumbing, not reconstruction quality.
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -27,6 +31,7 @@ from trfuse.tensor import mode_n_product
 from trfuse.tnsr import read_tnsr, write_tnsr
 
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+SRC = Path(trfuse.harness.__file__).resolve().parents[1]
 
 
 def _phantom(dims=(16, 16, 8), ranks=(2, 3, 2), seed=11):
@@ -187,6 +192,38 @@ def test_run_fuse_without_ground_truth_skips_scoring(gt_file, tmp_path):
         assert not (out / absent).exists(), absent
 
 
+def test_run_fuse_without_ground_truth_starts_no_thread(gt_file, tmp_path):
+    # the scoring pool is made at the first scoring call, so importing the
+    # package and fusing without a ground truth start no thread; a fresh
+    # interpreter, since earlier tests in this one have scored
+    sim = tmp_path / "sim"
+    run_simulate(_base_config(gt_file), sim)
+    raw = {"y": str(sim / "y.tnsr"), "z": str(sim / "z.tnsr"), "factor": 2,
+           "msi_bands": 4, "kernel_size": 3, "sigma": 1.0, "ranks": [2, 3, 2],
+           "k_max": 2, "seed": 0}
+    script = textwrap.dedent("""
+        import json, sys, threading
+        counts = [threading.active_count()]
+        import trfuse
+        from trfuse.config import parse_experiment_config
+        from trfuse.harness import run_fuse
+        counts.append(threading.active_count())
+        run_fuse(parse_experiment_config(json.loads(sys.argv[1])), sys.argv[2])
+        counts.append(threading.active_count())
+        print(json.dumps({"counts": counts,
+                          "futures": "concurrent.futures" in sys.modules}))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(raw),
+                           str(tmp_path / "fused")],
+                          capture_output=True, text=True, env=env, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["counts"] == [seen["counts"][0]] * 3
+    assert not seen["futures"]
+    assert (tmp_path / "fused" / "xhat.tnsr").exists()
+
+
 def test_fuse_reruns_byte_identical_outside_seconds(gt_file, tmp_path):
     cfg = _base_config(gt_file)
     run_fuse(cfg, tmp_path / "a")
@@ -255,6 +292,8 @@ def test_spectral_lift_baseline_shape(gt_file):
     model, y, z = simulate_pair(gt, cfg)
     lifted = spectral_lift_baseline(z, model)
     assert lifted.shape == (16, 16, 8)
+    # stored band-major, as the contraction leaves it: no copy to C order
+    assert all(lifted[:, :, b].flags.c_contiguous for b in range(8))
     want = mode_n_product(z, np.linalg.pinv(model.u3), 2)
     np.testing.assert_array_equal(lifted, want)
 

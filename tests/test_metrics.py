@@ -4,11 +4,14 @@ The reference implementations below loop over bands and window positions and
 compute every statistic directly, sharing no code with the module under test.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import trfuse.metrics
 from trfuse.metrics import (MetricsReport, ergas, metrics_report, psnr,
                             psnr_per_band, rescale_pair, sam, ssim, uiqi,
                             uiqi_per_band)
@@ -20,6 +23,19 @@ def _pair(shape, seed, spread=60.0):
     rng = np.random.default_rng(seed)
     ref = rng.uniform(10.0, 250.0, size=shape)
     est = ref + rng.normal(0.0, spread / 10.0, size=shape)
+    return ref, est
+
+
+def _flat_pair(shape, seed):
+    # a reference band constant at 42.1 and one near-constant ramp, each
+    # under an estimate with noise: the local variances of the reference are
+    # rounding-sized, so var1 + var2 formed from one filtered x² + y² map
+    # must cancel E[x²] against mu² as cleanly as a per-map variance does
+    ref, est = _pair(shape, seed)
+    rng = np.random.default_rng(seed + 100)
+    ref[:, :, 0] = 42.1
+    ref[:, :, 1] = 42.1 + 1e-4 * np.arange(shape[0])[:, None]
+    est[:, :, :2] = ref[:, :, :2] + rng.normal(0.0, 6.0, size=shape[:2] + (2,))
     return ref, est
 
 
@@ -128,6 +144,8 @@ def test_ssim_matches_naive_reference():
                         ((11, 12, 1), 22)):
         ref, est = _pair(shape, seed)
         assert abs(ssim(ref, est) - _naive_ssim(ref, est)) < 1e-8
+    ref, est = _flat_pair((16, 17, 3), 25)
+    assert abs(ssim(ref, est) - _naive_ssim(ref, est)) < 1e-8
     ref, est = _pair((20, 20, 2), 9)
     assert abs(ssim(ref, ref) - 1.0) < 1e-12
 
@@ -155,6 +173,8 @@ def test_uiqi_matches_naive_reference_windowed():
     for shape, seed in (((16, 18, 2), 12), ((8, 9, 2), 23), ((9, 8, 2), 24)):
         ref, est = _pair(shape, seed)
         assert abs(uiqi(ref, est, window=8) - _naive_uiqi(ref, est, 8)) < 1e-8
+    ref, est = _flat_pair((16, 18, 3), 26)
+    assert abs(uiqi(ref, est, window=8) - _naive_uiqi(ref, est, 8)) < 1e-8
 
 
 def test_uiqi_small_image_global_window_and_nan_band():
@@ -274,6 +294,20 @@ def test_shape_validation():
         psnr(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ssim(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
+
+
+def test_scores_do_not_depend_on_the_worker_count(monkeypatch):
+    # bands large enough to be scored on the pool
+    ref, est = _pair((192, 193, 3), 27)
+    reports, used = [], []
+    for workers in (1, 4):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(trfuse.metrics, "_pool",
+                                lambda: used.append(workers) or pool)
+            reports.append(metrics_report(ref, est, factor=2.0))
+    assert used == [1, 4]
+    # each band is scored whole by one worker and gathered in band order
+    assert reports[0] == reports[1]
 
 
 def test_metrics_report_wires_everything_together():
