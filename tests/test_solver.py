@@ -7,6 +7,7 @@ point when the nonsmooth terms are off.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
                            _block_system, block_constants,
                            build_difference_matrix, cg_solve, initial_factors,
                            objective, solve, sylvester_preconditioner,
-                           update_block)
+                           unfold_observations, update_block)
 from trfuse.prox import ltnn_value
-from trfuse.tensor import fold, mode_n_product
+from trfuse.tensor import fold, mode_n_product, unfold
 
-from helpers import plain_cg
+from helpers import cube_objective, plain_cg
 
 
 def _small_problem(seed=21, noisy=False):
@@ -34,6 +35,15 @@ def _small_problem(seed=21, noisy=False):
         y = add_noise(y, 25.0, rng=5)
         z = add_noise(z, 30.0, rng=6)
     return f, x, model, y, z
+
+
+def _objective(f, y, z, model, cfg):
+    """solver.objective at f, with block 3's system built at f's cores."""
+    consts = [block_constants(n, model, cfg) for n in range(3)]
+    op, rhs = _block_system(2, list(f.cores), unfold_observations(y, z), model,
+                            cfg, consts[2])
+    data_sq = 0.5 * np.sum(y * y) + 0.5 * cfg.lam * np.sum(z * z)
+    return objective(f, op, rhs, data_sq, consts, cfg)
 
 
 def test_difference_matrix_rows():
@@ -111,8 +121,8 @@ def test_sylvester_operator_symmetric_and_coercive():
     cfg = SolverConfig(ranks=(2, 3, 2))
     rng = np.random.default_rng(1)
     for n in range(3):
-        op, _ = _block_system(n, list(f.cores), y, z, model, cfg,
-                              block_constants(n, model, cfg))
+        op, _ = _block_system(n, list(f.cores), unfold_observations(y, z), model,
+                              cfg, block_constants(n, model, cfg))
         # the operator acts on the core's extent-first mode-1 unfolding
         shape = (f.cores[n].shape[1], f.cores[n].shape[0] * f.cores[n].shape[2])
         for _ in range(5):
@@ -134,7 +144,8 @@ def test_preconditioner_inverts_the_two_term_part():
     rng = np.random.default_rng(2)
     for n in range(3):
         c = block_constants(n, model, cfg)
-        op, _ = _block_system(n, list(f.cores), y, z, model, cfg, c)
+        op, _ = _block_system(n, list(f.cores), unfold_observations(y, z), model,
+                              cfg, c)
         precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
         r = rng.standard_normal((f.cores[n].shape[1],
                                  f.cores[n].shape[0] * f.cores[n].shape[2]))
@@ -149,7 +160,7 @@ def test_objective_at_zero_cores():
     f, x, model, y, z = _small_problem()
     cfg = SolverConfig(ranks=(2, 3, 2), lam=0.7, alpha=1e-3, beta=0.4)
     zeros = TRFactors(tuple(np.zeros_like(c) for c in f.cores))
-    got = objective(zeros, y, z, model, cfg)
+    got = _objective(zeros, y, z, model, cfg)
     want = 0.5 * np.sum(y * y) + 0.5 * cfg.lam * np.sum(z * z)
     for c in zeros.cores:
         want += cfg.beta * ltnn_value(c, cfg.eps_log)
@@ -162,7 +173,7 @@ def test_objective_beta_scales_gate_each_core():
                         beta_scales=(1.0, 1.0, 1.0))
     off = SolverConfig(ranks=(2, 3, 2), alpha=0.0, beta=0.5,
                        beta_scales=(1.0, 0.0, 1.0))
-    diff = objective(f, y, z, model, base) - objective(f, y, z, model, off)
+    diff = _objective(f, y, z, model, base) - _objective(f, y, z, model, off)
     want = 0.5 * ltnn_value(f.cores[1], base.eps_log)
     assert abs(diff - want) < 1e-10 * max(abs(want), 1.0)
 
@@ -184,9 +195,11 @@ def test_huge_anchor_weight_pins_the_block_update():
     cores = list(random_init((8, 8, 6), (2, 3, 2), seed=3).cores)
     before = [c.copy() for c in cores]
     cg_log = []
+    unfolded = unfold_observations(y, z)
     for n in range(3):
         c = block_constants(n, model, cfg)
-        assert update_block(n, cores, y, z, model, cfg, cg_log, c) == 1
+        op, rhs = _block_system(n, cores, unfolded, model, cfg, c)
+        assert update_block(n, cores, op, rhs, cfg, cg_log, c) == 1
         move = (np.linalg.norm(cores[n] - before[n])
                 / np.linalg.norm(before[n]))
         assert move < 1e-6, f"block {n} moved {move}"
@@ -217,7 +230,7 @@ def test_block_system_is_the_data_quadratic():
     for n in range(3):
         shape = cores[n].shape
         d = build_difference_matrix(shape[1])
-        op, rhs = _block_system(n, cores, y, z, model, cfg,
+        op, rhs = _block_system(n, cores, unfold_observations(y, z), model, cfg,
                                 block_constants(n, model, cfg))
         g = rng.standard_normal((shape[1], shape[0] * shape[2]))
         qg = op.apply(g) - cfg.mu * (d.T @ d @ g) - (cfg.eta + cfg.mu) * g
@@ -278,15 +291,38 @@ def test_rel_change_matches_the_composed_cubes():
         assert abs(h.rel_change - want) <= 1e-8 * want, h.k
 
 
+@pytest.mark.parametrize("case", ["noisy", "exact", "smooth"])
+def test_objective_matches_the_cube_formed_oracle(case):
+    # each history row's objective, read from block 3's system, against the
+    # objective of composed cubes at the iterates of the runs that stop after
+    # k = 1, 2 and 3 outer iterations. "exact" observes a noiseless exact-rank
+    # ring scaled by 10 from near its own cores, so ½||y||² + ½ lam ||z||² is
+    # 2.0e6 against an objective of about 8 and the data terms cancel 5 to 6
+    # digits, as on a noiseless benchmark pair; "smooth" sets alpha = beta = 0
+    f, x, model, y, z = _small_problem(noisy=case != "exact")
+    init = random_init((8, 8, 6), (2, 3, 2), seed=4)
+    if case == "exact":
+        f = TRFactors(tuple(10.0 * c for c in f.cores))
+        y, z = degrade(compose(f), model)
+        init = TRFactors(tuple(c + 1e-2 * r for c, r in zip(f.cores, init.cores)))
+    extra = {"alpha": 0.0, "beta": 0.0} if case == "smooth" else {}
+    cfg = SolverConfig(ranks=(2, 3, 2), lam=0.7, stop_tol=1e-12, **extra)
+    iterates = []
+    for k_max in (1, 2, 3):
+        res = solve(y, z, model, replace(cfg, k_max=k_max), init_factors_override=init)
+        assert len(res.history) == k_max
+        iterates.append(res.factors)
+    for h, f_k in zip(res.history, iterates):
+        want = cube_objective(f_k, y, z, model, cfg)
+        assert abs(h.objective - want) <= 1e-9 * abs(want), (h.k, h.objective, want)
+
+
 def test_solve_composes_the_estimate_once(monkeypatch):
-    # objective composes the observation-sized cubes; only full-size
-    # composes are counted
     f, x, model, y, z = _small_problem(noisy=True)
-    full = []
+    calls = []
 
     def counting(factors):
-        if factors.dims == x.shape:
-            full.append(factors.dims)
+        calls.append(factors.dims)
         return compose(factors)
 
     monkeypatch.setattr("trfuse.solver.compose", counting)
@@ -294,7 +330,26 @@ def test_solve_composes_the_estimate_once(monkeypatch):
     res = solve(y, z, model, cfg,
                 init_factors_override=random_init(x.shape, (2, 2, 2), seed=4))
     assert len(res.history) == 5
-    assert len(full) == 1
+    assert calls == [x.shape]
+
+
+@pytest.mark.parametrize("k_max", [1, 6])
+def test_solve_unfolds_each_observation_once_per_mode(monkeypatch, k_max):
+    f, x, model, y, z = _small_problem(noisy=True)
+    seen = {y.shape: 0, z.shape: 0}
+
+    def counting(t, mode):
+        if np.shape(t) in seen:
+            seen[np.shape(t)] += 1
+        return unfold(t, mode)
+
+    for module in ("trfuse.solver", "trfuse.ring"):
+        monkeypatch.setattr(f"{module}.unfold", counting)
+    cfg = SolverConfig(ranks=(2, 2, 2), k_max=k_max, stop_tol=1e-12)
+    res = solve(y, z, model, cfg,
+                init_factors_override=random_init(x.shape, (2, 2, 2), seed=4))
+    assert len(res.history) == k_max
+    assert seen[y.shape] <= 3 and seen[z.shape] <= 3, seen
 
 
 def test_solve_raises_when_the_estimate_collapses():
