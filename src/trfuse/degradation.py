@@ -17,18 +17,22 @@ from .tensor import mode_n_product
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian taps; ``sigma <= 0`` degenerates to a delta."""
+    """Normalized 1-D Gaussian taps; ``sigma <= 0`` degenerates to a delta,
+    as does a ``sigma`` so small that ``2 sigma²`` underflows to zero."""
     size = int(size)
     if size < 1:
         raise ValueError("kernel size must be positive")
     if size % 2 == 0:
         raise ValueError("Gaussian kernel size must be odd")
-    if sigma <= 0:
+    two_var = 2.0 * sigma * sigma
+    if sigma <= 0 or two_var == 0.0:
         k = np.zeros(size)
         k[(size - 1) // 2] = 1.0
         return k
     x = np.arange(size) - (size - 1) / 2.0
-    k = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    # a subnormal 2·sigma² sends the off-centre exponents to -inf: zero taps
+    with np.errstate(over="ignore"):
+        k = np.exp(-(x * x) / two_var)
     return k / k.sum()
 
 

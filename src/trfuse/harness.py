@@ -150,6 +150,7 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     gt, model, y, z = load_inputs(cfg)
     with _data_errors():
         result = solve(y, z, model, cfg.solver)
+    del y  # only z is read again, by the baseline
     out = _prepare_out(out_dir)
     write_tnsr(out / "xhat.tnsr", result.fused)
     _write_convergence(out / "convergence.csv", result)

@@ -270,14 +270,17 @@ def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
 
 def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
     """SAM and its count of skipped zero spectra, on a checked pair."""
-    # row dots by einsum, one mode-0 slab at a time: no cube-sized product,
-    # and a C-order slab has each spectrum summed in one order on any layout
-    dots = []
-    for r, e in zip(ref, est):
-        r, e = np.ascontiguousarray(r), np.ascontiguousarray(e)
-        dots.append((np.einsum("pk,pk->p", r, r), np.einsum("pk,pk->p", e, e),
-                     np.einsum("pk,pk->p", r, e), np.all(r == e, axis=1)))
-    aa, bb, ab, equal = (np.concatenate(c) for c in zip(*dots))
+    # per-pixel dots accumulated band by band, in band order: each band is a
+    # view, nothing cube-sized is copied, and every layout sums in one order
+    plane = ref.shape[:2]
+    aa, bb, ab, prod = (np.zeros(plane) for _ in range(4))
+    equal = np.ones(plane, dtype=bool)
+    for b in range(ref.shape[2]):
+        r, e = ref[:, :, b], est[:, :, b]
+        aa += np.multiply(r, r, out=prod)
+        bb += np.multiply(e, e, out=prod)
+        ab += np.multiply(r, e, out=prod)
+        equal &= r == e
     na, nb = np.sqrt(aa), np.sqrt(bb)
     keep = (na > 0) & (nb > 0)
     skipped = int(np.size(na) - np.count_nonzero(keep))

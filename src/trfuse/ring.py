@@ -157,16 +157,26 @@ def _als_polish(t: np.ndarray, f: TRFactors) -> TRFactors:
 def _sequential_svd(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
     """The two sequential SVD splits of ``t`` into ring cores.
 
-    The full-size SVD factors die on return, so they are not held through
+    The first split needs only the leading left singular vectors u of the
+    mode-0 matricization m, and m's right factor is never formed: with
+    mᵀ = QR, m = Rᵀ Qᵀ shares its left singular vectors with Rᵀ, at most
+    I1 x I1, and the split keeps uᵀ m. On a wide m these are the two steps
+    LAPACK's ``dgesdd`` takes (an LQ factorization, then the SVD of L), with
+    the same Householder reflectors, so u carries the signs a full SVD of m
+    gives it (README, "Notes").
+
+    The full-size factors die on return, so they are not held through
     the polish that follows.
     """
     r1, r2, r3 = ranks
     i1, i2, i3 = t.shape
-    m = t.reshape(i1, i2 * i3, order="F")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    # m in C order, column i2·l + j holding t[:, j, l] (i2 fastest): mᵀ is
+    # then the column-major matrix LAPACK factors, copied contiguously
+    m = np.ascontiguousarray(t.transpose(0, 2, 1)).reshape(i1, i2 * i3)
     k = r1 * r2
-    core1 = u[:, :k].reshape(i1, r2, r1).transpose(2, 0, 1)
-    z = s[:k, None] * vt[:k]
+    u = np.linalg.svd(np.linalg.qr(m.T, mode="r").T, full_matrices=False)[0][:, :k]
+    core1 = u.reshape(i1, r2, r1).transpose(2, 0, 1)
+    z = u.T @ m
 
     # regroup rows (r1 fastest, r2) and columns (i2 fastest, i3) into the
     # split (r2, i2) x (i3, r1) used by the second factorization

@@ -96,3 +96,24 @@ def cube_objective(f, y, z, model, cfg):
         if beta_eff != 0.0:
             val += beta_eff * ltnn_value(g, cfg.eps_log)
     return float(val)
+
+
+def einsum_sam(ref, est):
+    """SAM from per-spectrum einsum dots: the mean angle in degrees over the
+    spectra where neither vector is zero, with bit-equal spectra at angle 0,
+    and the count of skipped spectra. The angle is nan on fewer than two
+    bands."""
+    bands = np.shape(ref)[2]
+    x = np.asarray(ref, dtype=float).reshape(-1, bands)
+    e = np.asarray(est, dtype=float).reshape(-1, bands)
+    na = np.sqrt(np.einsum("pk,pk->p", x, x))
+    ne = np.sqrt(np.einsum("pk,pk->p", e, e))
+    keep = (na > 0) & (ne > 0)
+    skipped = int(np.count_nonzero(~keep))
+    if bands < 2:
+        return math.nan, skipped
+    x, e = x[keep], e[keep]
+    cos = np.einsum("pk,pk->p", x, e) / (na[keep] * ne[keep])
+    angles = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    angles[np.all(x == e, axis=1)] = 0.0
+    return float(np.mean(angles)), skipped

@@ -25,6 +25,19 @@ def test_gaussian_kernel_shape_and_normalization():
         gaussian_kernel(0, 2.0)
 
 
+def test_gaussian_kernel_with_vanishing_variance_is_the_delta():
+    delta = gaussian_kernel(5, 0.0)
+    # 2·sigma² underflows to zero at 1e-200 and is subnormal at 1e-160
+    for sigma in (1e-200, 1e-160, 5e-324):
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(gaussian_kernel(5, sigma), delta)
+    # ordinary widths keep their taps bit for bit
+    for sigma in (0.01, 0.7, 1.0, 2.0, 1e3):
+        x = np.arange(7) - 3.0
+        want = np.exp(-(x * x) / (2.0 * sigma * sigma))
+        np.testing.assert_array_equal(gaussian_kernel(7, sigma), want / want.sum())
+
+
 def test_delta_kernel_gives_pure_selection_rows():
     op = spatial_operator_from_kernel(8, 2, gaussian_kernel(5, 0.0))
     want = np.zeros((4, 8))

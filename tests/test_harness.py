@@ -464,6 +464,20 @@ def test_cli_fuse_single_band(tmp_path):
     assert xhat.shape == (16, 16, 1) and np.all(np.isfinite(xhat))
 
 
+def test_cli_fuse_with_vanishing_sigma(tmp_path):
+    # 2·sigma² underflows to zero: the blur is the delta, not a data error
+    write_tnsr(tmp_path / "gt.tnsr", _phantom(dims=(8, 8, 4)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(tmp_path / "gt.tnsr"), "factor": 2,
+         "msi_bands": 2, "kernel_size": 3, "sigma": 1e-200, "ranks": [2, 2, 2],
+         "k_max": 2, "seed": 0}))
+    with np.errstate(all="raise"):
+        assert main(["fuse", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert np.all(np.isfinite(read_tnsr(tmp_path / "o" / "xhat.tnsr")))
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["fuse", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2

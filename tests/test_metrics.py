@@ -12,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trfuse.metrics
-from trfuse.metrics import (MetricsReport, ergas, metrics_report, psnr,
-                            psnr_per_band, reference_map, rescale_pair, sam,
-                            ssim, uiqi, uiqi_per_band)
+from helpers import einsum_sam
+from trfuse.metrics import (MetricsReport, _sam_and_skipped, ergas,
+                            metrics_report, psnr, psnr_per_band, reference_map,
+                            rescale_pair, sam, ssim, uiqi, uiqi_per_band)
 
 PEAK = 255.0
 
@@ -237,6 +238,32 @@ def test_sam_skips_zero_spectra():
     assert report.sam == 0.0
     with pytest.raises(ValueError):
         sam(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 9)),
+       zeros=st.integers(0, 4), equal=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_sam_matches_the_per_spectrum_oracle(dims, zeros, equal, seed):
+    rng = np.random.default_rng(seed)
+    ref = rng.uniform(0.0, 255.0, size=dims)
+    est = ref + rng.normal(0.0, 20.0, size=dims)
+    # zero spectra alternate between the two cubes; bit-equal ones follow
+    pixels = [divmod(int(p), dims[1]) for p in rng.permutation(dims[0] * dims[1])]
+    for n, pixel in enumerate(pixels[:zeros]):
+        (ref if n % 2 else est)[pixel] = 0.0
+    for pixel in pixels[zeros:zeros + equal]:
+        est[pixel] = ref[pixel]
+    # a pair with no spectrum nonzero in both cubes has no SAM
+    assume(np.any(np.any(ref, axis=2) & np.any(est, axis=2)))
+    want, skipped = einsum_sam(ref, est)
+    got, got_skipped = _sam_and_skipped(ref, est)
+    assert got_skipped == skipped
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert abs(got - want) <= 1e-12 * want
+    np.testing.assert_array_equal(sam(ref, est), got)
 
 
 def test_sam_is_nan_on_a_single_band():

@@ -1,6 +1,6 @@
 """Property tests over many small geometries, drawn by hypothesis.
 
-Extents run from 1 to 9 and ranks from 1 to 4 on every mode. Runs are
+Extents mostly run from 1 to 9 and ranks from 1 to 4 on every mode. Runs are
 derandomized, so a failure reproduces on every run and an example database
 would hold nothing worth keeping; none is kept.
 """
@@ -121,6 +121,58 @@ def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
         g = sylvester_preconditioner(c.a1_eig, op.b1, op.e)(r)
         residual = op.a1 @ g @ op.b1 + g @ op.e - r
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r), n
+
+
+@st.composite
+def first_splits(draw):
+    """A cube whose mode-0 matricization is wide, square or tall, random or of
+    an exact low ring rank, with first-split ranks clamped as the init clamps
+    them."""
+    i2, i3 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cols = i2 * i3
+    aspect = draw(st.sampled_from(("wide", "square", "tall")))
+    assume(aspect != "wide" or cols > 1)
+    if aspect == "wide":
+        i1 = draw(st.integers(1, cols - 1))
+    elif aspect == "square":
+        i1 = cols
+    else:
+        i1 = cols + draw(st.integers(1, 12))
+    dims = (i1, i2, i3)
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        exact = draw(st.tuples(*[st.integers(1, 3)] * 3))
+        t = compose(TRFactors(tuple(
+            rng.standard_normal((exact[n], dims[n], exact[(n + 1) % 3]))
+            for n in range(3))))
+    else:
+        t = rng.standard_normal(dims)
+    r1, r2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kmax = min(i1, cols)
+    if r1 * r2 > kmax:
+        r1, r2 = (kmax, 1) if r1 > kmax else (r1, max(1, kmax // r1))
+    return t, r1, r2
+
+
+@PROPERTY
+@given(case=first_splits())
+def test_first_split_is_the_rank_k_projection(case):
+    t, r1, r2 = case
+    i1, i2, i3 = t.shape
+    k = r1 * r2
+    # a third rank as large as the second split allows makes that split
+    # exact, so cores 2 and 3 multiply back to z and the ring is core 1 × z
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        f = _sequential_svd(t, (r1, r2, i2 * r2 * r1 * i3))
+    g1 = unfold(f.cores[0], 1)
+    assert np.linalg.norm(g1.T @ g1 - np.eye(k)) <= 1e-12
+    m = unfold(t, 0)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    # the projection is unique across a gap, and is m itself past m's rank
+    assume(k == s.size or s[k - 1] - s[k] > 1e-4 * s[0] or s[k - 1] <= 1e-13 * s[0])
+    want = u[:, :k] @ (u[:, :k].T @ m)
+    assert np.linalg.norm(unfold(compose(f), 0) - want) <= 1e-10 * np.linalg.norm(m)
 
 
 @PROPERTY

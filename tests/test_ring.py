@@ -207,6 +207,22 @@ def test_tr_svd_init_is_bounded_on_exact_rank_tensors(monkeypatch):
         assert err <= svd_err * (1 + 1e-12), f"seed {seed}"
 
 
+def test_first_split_takes_no_svd_of_the_full_matricization(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    t = np.random.default_rng(8).standard_normal((12, 40, 40))
+    _sequential_svd(t, (2, 3, 2))
+    # both splits still take an SVD, neither of the 12 x 1600 mode-0 matricization
+    assert len(shapes) == 2
+    assert all(40 * 40 not in shape for shape in shapes), shapes
+
+
 def test_tr_svd_zero_tensor_gives_zero_cores():
     f = tr_svd_init(np.zeros((4, 5, 6)), (2, 2, 2))
     assert all(np.all(c == 0) for c in f.cores)
