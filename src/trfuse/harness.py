@@ -6,6 +6,7 @@ exception is the wall-clock seconds column of convergence.csv.
 
 from __future__ import annotations
 
+import ctypes
 import json
 from contextlib import contextmanager
 from dataclasses import replace
@@ -130,6 +131,22 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     return {"out": str(out), "y_shape": y.shape, "z_shape": z.shape}
 
 
+def _release_freed_heap() -> None:
+    """Return the C heap's free pages to the OS, where the C library can.
+
+    glibc trims the top of its main heap only when the free space there
+    passes a threshold, so whether memory freed by the solve stays resident
+    depends on a few hundred KiB of allocations; malloc_trim(0) releases it
+    whatever the layout, in every arena. Other C libraries lack the symbol,
+    and nothing is done.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
 @contextmanager
 def _data_errors():
     """Report a ValueError raised on the loaded data as a DataError."""
@@ -145,12 +162,15 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     Scoring rescales the ground truth once and releases each cube as soon as
     it is scored, so at most three cube-sized arrays are live after solve.
     The baseline is rescaled in place: a fourth cube would raise the peak,
-    on top of what the scoring threads' allocator arenas keep.
+    on top of what the scoring threads' allocator arenas keep. The heap the
+    solve freed is returned to the OS before the output is written, and the
+    arenas' free pages once the baseline is scored.
     """
     gt, model, y, z = load_inputs(cfg)
     with _data_errors():
         result = solve(y, z, model, cfg.solver)
     del y  # only z is read again, by the baseline
+    _release_freed_heap()
     out = _prepare_out(out_dir)
     write_tnsr(out / "xhat.tnsr", result.fused)
     _write_convergence(out / "convergence.csv", result)
@@ -179,6 +199,7 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     to255(base255, out=base255)
     with _data_errors():
         base_report = metrics_report(ref255, base255, cfg.factor)
+    _release_freed_heap()
     _write_json(out / "baseline.json",
                 {"metrics": base_report.scalars(),
                  "method": "spectral pseudo-inverse lift"})

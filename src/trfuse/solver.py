@@ -7,8 +7,10 @@ solver seeks ring cores G1, G2, G3 minimizing
   + 0.5 * lam * ||z - compose(G1, G2, G3 x U3)||_F^2
   + sum_n [ alpha * ||W_n o (G_n x D_n)||_1 + beta_n * LTNN(G_n) ]
 
-where x denotes the product along each core's extent mode, D_n is a forward
-difference, W_n a reweighting, and LTNN the logarithmic tensor nuclear norm.
+where x denotes the product along each core's extent mode, D_n is the forward
+difference along that mode (slice i+1 minus slice i, the last slice 0), W_n a
+reweighting, and LTNN the logarithmic tensor nuclear norm. D and its adjoint
+are applied as two-slice stencils; no difference matrix is formed.
 
 The outer loop is a proximal alternating minimization over the cores with
 anchor weight eta. Each block runs a small ADMM whose auxiliaries and
@@ -130,16 +132,18 @@ class FusionResult:
     history: list[IterationRecord]
 
 
-def build_difference_matrix(extent: int) -> np.ndarray:
-    """Forward difference rows (-1, +1), last row all zeros."""
-    extent = int(extent)
-    if extent < 1:
-        raise ValueError("difference matrix needs extent >= 1")
-    d = np.zeros((extent, extent))
-    idx = np.arange(extent - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    return d
+def _diff(x: np.ndarray, axis: int) -> np.ndarray:
+    """D x along ``axis``: slice i+1 minus slice i, and the last slice 0."""
+    return np.diff(x, axis=axis, append=np.take(x, [-1], axis=axis))
+
+
+def _diff_t(w: np.ndarray, axis: int) -> np.ndarray:
+    """Dᵀ w along ``axis``: slice i-1 minus slice i of w's first I-1 slices.
+
+    w's last slice is ignored, as D's last row is zero.
+    """
+    head = np.take(w, range(w.shape[axis] - 1), axis=axis)
+    return -np.diff(head, axis=axis, prepend=0.0, append=0.0)
 
 
 def cg_solve(apply, rhs: np.ndarray, tol: float = 1e-6, max_iter: int = 300,
@@ -208,33 +212,30 @@ def sylvester_preconditioner(a1_eig: tuple[np.ndarray, np.ndarray],
 
 @dataclass(frozen=True)
 class SylvesterOperator:
-    """Positive definite map g -> a1 g b1 + g e + mu * dtd g.
+    """Positive definite map g -> a1 g b1 + g e + mu * DᵀD g.
 
     e = scale2 * b2 + (eta + mu) I folds the one-sided data term and the
-    anchor and splitting shifts into one right factor.
+    anchor and splitting shifts into one right factor; D differences
+    consecutive rows of g.
     """
 
     a1: np.ndarray
     b1: np.ndarray
     e: np.ndarray
-    dtd: np.ndarray
     mu: float
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.a1 @ g @ self.b1 + g @ self.e + self.mu * (self.dtd @ g)
+        return self.a1 @ g @ self.b1 + g @ self.e + self.mu * _diff_t(_diff(g, 0), 0)
 
 
 @dataclass(frozen=True)
 class BlockConstants:
     """The parts of block n's system that stay fixed for a whole solve.
 
-    d is the forward difference on core n's extent and dtd = dᵀd; a1 is w UᵀU
-    for the observation (weight w, operator U) that degrades core n, and
-    a1_eig = (s, V) its eigendecomposition a1 = V diag(s) Vᵀ.
+    a1 is w UᵀU for the observation (weight w, operator U) that degrades
+    core n, and a1_eig = (s, V) its eigendecomposition a1 = V diag(s) Vᵀ.
     """
 
-    d: np.ndarray
-    dtd: np.ndarray
     a1: np.ndarray
     a1_eig: tuple[np.ndarray, np.ndarray]
 
@@ -244,8 +245,7 @@ def block_constants(n: int, model: DegradationModel, cfg: SolverConfig
     [(u, w)] = [(ops[n], w) for ops, w in zip(model.mode_operators, (1.0, cfg.lam))
                 if ops[n] is not None]
     a1 = w * (u.T @ u)
-    d = build_difference_matrix(u.shape[1])
-    return BlockConstants(d=d, dtd=d.T @ d, a1=a1, a1_eig=np.linalg.eigh(a1))
+    return BlockConstants(a1=a1, a1_eig=np.linalg.eigh(a1))
 
 
 def unfold_observations(y: np.ndarray, z: np.ndarray
@@ -284,7 +284,7 @@ def _block_system(n: int, cores, unfolded, model: DegradationModel,
         else:
             b1 = p @ p.T
             rhs.append(w * (ops[n].T @ term))
-    op = SylvesterOperator(a1=c.a1, b1=b1, e=e, dtd=c.dtd, mu=cfg.mu)
+    op = SylvesterOperator(a1=c.a1, b1=b1, e=e, mu=cfg.mu)
     return op, rhs[0] + rhs[1]
 
 
@@ -304,7 +304,6 @@ def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
     core = cores[n]
     shape = core.shape
     anchor_mat = unfold(core, 1)
-    d = c.d
     precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
     mu = cfg.mu
     beta_eff = cfg.beta * cfg.beta_scales[n]
@@ -317,18 +316,18 @@ def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
     sweeps = 0
     for _ in range(cfg.inner_max):
         sweeps += 1
-        j = mode_n_product(core, d, 1) - m / mu
+        j = _diff(core, 1) - m / mu
         weights = update_weights(j, cfg.varsigma)
         r = soft_shrink_weighted(j, cfg.alpha / mu, weights)
         rhs = (rhs_static
-               + mu * (d.T @ unfold(r + m / mu, 1))
+               + mu * _diff_t(unfold(r + m / mu, 1), 0)
                + mu * unfold(v + nn / mu, 1))
         g_mat, iters, relres = cg_solve(op.apply, rhs, cfg.cg_tol, cfg.cg_max,
                                         x0=g_mat, precondition=precondition)
         cg_log.append((iters, relres))
         core_new = fold(g_mat, 1, shape)
         v = ltnn_prox(core_new - nn / mu, beta_eff / mu, cfg.eps_log)
-        m = m + mu * (r - mode_n_product(core_new, d, 1))
+        m = m + mu * (r - _diff(core_new, 1))
         nn = nn + mu * (v - core_new)
         new_norm = frobenius_norm(core_new)
         if new_norm == 0.0:
@@ -344,8 +343,7 @@ def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
 
 
 def objective(f: TRFactors, op: SylvesterOperator, rhs_data: np.ndarray,
-              data_sq: float, consts: list[BlockConstants], cfg: SolverConfig
-              ) -> float:
+              data_sq: float, cfg: SolverConfig) -> float:
     """Model objective at the given cores.
 
     (op, rhs_data) is block 3's :func:`_block_system` at f's cores 1 and 2,
@@ -361,9 +359,9 @@ def objective(f: TRFactors, op: SylvesterOperator, rhs_data: np.ndarray,
     g = unfold(f.cores[2], 1)
     qg = op.a1 @ g @ op.b1 + g @ (op.e - (cfg.eta + cfg.mu) * np.eye(len(op.e)))
     val = data_sq + 0.5 * float(np.sum(g * qg)) - float(np.sum(rhs_data * g))
-    for n, (core, c) in enumerate(zip(f.cores, consts)):
+    for n, core in enumerate(f.cores):
         if cfg.alpha != 0.0:
-            diff = mode_n_product(core, c.d, 1)
+            diff = _diff(core, 1)
             val += cfg.alpha * l1_norm(update_weights(diff, cfg.varsigma) * diff)
         beta_eff = cfg.beta * cfg.beta_scales[n]
         if beta_eff != 0.0:
@@ -466,7 +464,7 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         # digits at rel ≈ 1e-4, and the stop test needs 2
         diff_sq = new_sq + inner(prev, prev) - 2.0 * inner(f, prev)
         rel = math.sqrt(max(diff_sq, 0.0) / new_sq)
-        obj = objective(f, op, rhs_data, data_sq, consts, cfg)
+        obj = objective(f, op, rhs_data, data_sq, cfg)
         if not (math.isfinite(obj) and math.isfinite(rel)):
             raise SolverDivergenceError(f"non-finite objective at outer {k} "
                                         f"(objective={obj}, rel_change={rel})")

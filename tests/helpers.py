@@ -6,8 +6,17 @@ import numpy as np
 
 from trfuse.prox import log_threshold_scalar, ltnn_value, update_weights
 from trfuse.ring import TRFactors, compose
-from trfuse.solver import SolverDivergenceError, build_difference_matrix
+from trfuse.solver import SolverDivergenceError
 from trfuse.tensor import l1_norm, mode_n_product
+
+
+def dense_difference(extent):
+    """The forward difference as a dense matrix: rows (-1, +1), last row zero."""
+    d = np.zeros((extent, extent))
+    idx = np.arange(extent - 1)
+    d[idx, idx] = -1.0
+    d[idx, idx + 1] = 1.0
+    return d
 
 
 def evaluate_entry(f, idx):
@@ -89,7 +98,7 @@ def cube_objective(f, y, z, model, cfg):
                                       for g, u in zip(f.cores, ops))))
         val += 0.5 * w * np.linalg.norm((np.asarray(obs) - est).ravel()) ** 2
     for n, g in enumerate(f.cores):
-        diff = mode_n_product(g, build_difference_matrix(g.shape[1]), 1)
+        diff = mode_n_product(g, dense_difference(g.shape[1]), 1)
         if cfg.alpha != 0.0:
             val += cfg.alpha * l1_norm(update_weights(diff, cfg.varsigma) * diff)
         beta_eff = cfg.beta * cfg.beta_scales[n]

@@ -152,6 +152,37 @@ def test_run_fuse_full_outputs(gt_file, tmp_path):
     assert set(base["metrics"]) == set(summary["metrics"])
 
 
+def test_run_fuse_releases_the_freed_heap_after_solve_and_scoring(
+        gt_file, tmp_path, monkeypatch):
+    out = tmp_path / "fused"
+    seen = []
+
+    class Libc:
+        def malloc_trim(self, pad):
+            seen.append((pad, (out / "xhat.tnsr").exists(),
+                         (out / "metrics.json").exists()))
+            return 1
+
+    monkeypatch.setattr(trfuse.harness.ctypes, "CDLL", lambda name: Libc())
+    run_fuse(_base_config(gt_file), out)
+    # once the solve returns, before any output; once both reports are made
+    assert seen == [(0, False, False), (0, True, True)]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
+                         ids=["no-malloc-trim", "no-libc"])
+def test_run_fuse_without_malloc_trim(gt_file, tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(trfuse.harness.ctypes, "CDLL", cdll)
+    out = tmp_path / "fused"
+    summary = run_fuse(_base_config(gt_file), out)
+    assert set(summary["baseline"]) == set(summary["metrics"])
+    assert (out / "baseline.json").exists()
+
+
 def test_run_fuse_scores_with_few_cubes_live(tmp_path, monkeypatch):
     gt = _phantom(dims=(32, 32, 16))
     write_tnsr(tmp_path / "gt.tnsr", gt)

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from trfuse.degradation import DegradationModel, degrade
 from trfuse.ring import (TRFactors, _sequential_svd, compose, inner, merge_cores,
                          tr_svd_init)
-from trfuse.solver import (SolverConfig, _block_system, block_constants,
-                           sylvester_preconditioner, unfold_observations)
+from trfuse.solver import (SolverConfig, _block_system, _diff, _diff_t,
+                           block_constants, sylvester_preconditioner,
+                           unfold_observations)
 from trfuse.tensor import fold, mode_n_product, unfold
+
+from helpers import dense_difference
 
 extents = st.tuples(*[st.integers(1, 9)] * 3)
 ranks = st.tuples(*[st.integers(1, 4)] * 3)
@@ -55,6 +58,27 @@ def test_inner_is_the_inner_product_of_the_composed_cubes(dims, ranks_f, ranks_g
     xf, xg = compose(f), compose(g)
     bound = 1e-12 * np.linalg.norm(xf) * np.linalg.norm(xg)
     assert abs(inner(f, g) - np.vdot(xf, xg)) <= bound
+
+
+@PROPERTY
+@given(dims=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 4)),
+       seed=seeds)
+def test_difference_stencils_are_the_dense_difference(dims, seed):
+    # D and Dᵀ as slice stencils against the dense matrix, along the extent
+    # axis of a core (1) and of an unfolding (0); extent 1 gives zeros
+    rng = np.random.default_rng(seed)
+    x, w = rng.standard_normal((2, *dims))
+    for axis in (0, 1):
+        d = dense_difference(dims[axis])
+        dx, dtw = _diff(x, axis), _diff_t(w, axis)
+        assert np.array_equal(dx, mode_n_product(x, d, axis)), axis
+        assert np.array_equal(dtw, mode_n_product(w, d.T, axis)), axis
+        assert abs(np.vdot(dx, w) - np.vdot(x, dtw)) <= (
+            1e-12 * np.linalg.norm(x) * np.linalg.norm(w))
+        # DᵀD g rounds differently from the dense dᵀd g
+        want = mode_n_product(x, d.T @ d, axis)
+        scale = max(np.linalg.norm(want), 1.0)
+        assert np.linalg.norm(_diff_t(dx, axis) - want) <= 1e-14 * scale, axis
 
 
 @st.composite

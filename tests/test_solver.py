@@ -15,14 +15,14 @@ import pytest
 from trfuse.degradation import DegradationModel, add_noise, degrade
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
-                           _block_system, block_constants,
-                           build_difference_matrix, cg_solve, initial_factors,
-                           objective, solve, sylvester_preconditioner,
-                           unfold_observations, update_block)
+                           _block_system, _diff, block_constants, cg_solve,
+                           initial_factors, objective, solve,
+                           sylvester_preconditioner, unfold_observations,
+                           update_block)
 from trfuse.prox import ltnn_value
 from trfuse.tensor import fold, mode_n_product, unfold
 
-from helpers import cube_objective, plain_cg
+from helpers import cube_objective, dense_difference, plain_cg
 
 
 def _small_problem(seed=21, noisy=False):
@@ -39,20 +39,18 @@ def _small_problem(seed=21, noisy=False):
 
 def _objective(f, y, z, model, cfg):
     """solver.objective at f, with block 3's system built at f's cores."""
-    consts = [block_constants(n, model, cfg) for n in range(3)]
     op, rhs = _block_system(2, list(f.cores), unfold_observations(y, z), model,
-                            cfg, consts[2])
+                            cfg, block_constants(2, model, cfg))
     data_sq = 0.5 * np.sum(y * y) + 0.5 * cfg.lam * np.sum(z * z)
-    return objective(f, op, rhs, data_sq, consts, cfg)
+    return objective(f, op, rhs, data_sq, cfg)
 
 
 def test_difference_matrix_rows():
-    d = build_difference_matrix(3)
-    np.testing.assert_array_equal(d, [[-1, 1, 0], [0, -1, 1], [0, 0, 0]])
+    # D applied to the identity is D's matrix: rows (-1, +1), last row zero
+    np.testing.assert_array_equal(_diff(np.eye(3), 0),
+                                  [[-1, 1, 0], [0, -1, 1], [0, 0, 0]])
     # one band has no forward difference: the single row is the zero last row
-    np.testing.assert_array_equal(build_difference_matrix(1), [[0.0]])
-    with pytest.raises(ValueError):
-        build_difference_matrix(0)
+    np.testing.assert_array_equal(_diff(np.eye(1), 0), [[0.0]])
 
 
 def _spd_cases():
@@ -152,7 +150,8 @@ def test_preconditioner_inverts_the_two_term_part():
         g = precondition(r)
         two_term = op.a1 @ g @ op.b1 + g @ op.e
         assert np.linalg.norm(two_term - r) <= 1e-10 * np.linalg.norm(r), n
-        np.testing.assert_allclose(two_term, op.apply(g) - cfg.mu * (c.dtd @ g),
+        d = dense_difference(len(g))
+        np.testing.assert_allclose(two_term, op.apply(g) - cfg.mu * (d.T @ d @ g),
                                    rtol=0, atol=1e-12 * np.abs(two_term).max())
 
 
@@ -229,7 +228,7 @@ def test_block_system_is_the_data_quadratic():
 
     for n in range(3):
         shape = cores[n].shape
-        d = build_difference_matrix(shape[1])
+        d = dense_difference(shape[1])
         op, rhs = _block_system(n, cores, unfold_observations(y, z), model, cfg,
                                 block_constants(n, model, cfg))
         g = rng.standard_normal((shape[1], shape[0] * shape[2]))
