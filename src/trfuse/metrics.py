@@ -96,16 +96,14 @@ def _score_band(ref: np.ndarray, est: np.ndarray, band: int,
 
     Returns the band's squared-error sum, its reference sum, its SSIM and its
     UIQI (nan when no UIQI window is usable). The band is copied contiguous
-    unless it already is; the squared errors are summed along each row in
-    order, then over the row sums in order, and the reference by a running
-    sum in pixel order: the orders of a C-order cube, kept on any layout.
+    unless it already is, so both sums see the same contiguous band on any
+    layout and give the same bits.
     """
     x = np.ascontiguousarray(ref[:, :, band])
     y = np.ascontiguousarray(est[:, :, band])
-    d = np.subtract(x.T, y.T, order="C")
-    d *= d
-    sq_err = np.cumsum(d.sum(axis=0))[-1]
-    ref_sum = np.cumsum(x)[-1]
+    d = x - y
+    sq_err = np.vdot(d, d)
+    ref_sum = x.sum()
     maps = np.stack((x, y, x * x + y * y, x * y))
     return (sq_err, ref_sum, _ssim_band(maps),
             _uiqi_band(maps, uiqi_window))

@@ -224,9 +224,4 @@ def tr_svd_init(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
         else:
             r2 = max(1, kmax // r1)
         warnings.warn(f"ring ranks clamped to ({r1}, {r2}, {r3}) for extents {t.shape}")
-
-    if not np.any(t):
-        r3z = min(r3, i2 * r2, r1 * i3)
-        return TRFactors((np.zeros((r1, i1, r2)), np.zeros((r2, i2, r3z)),
-                          np.zeros((r3z, i3, r1))))
     return _als_polish(t, _sequential_svd(t, (r1, r2, r3)))

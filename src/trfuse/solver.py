@@ -20,17 +20,17 @@ generalized Sylvester system
     a1 G b1 + G e + mu * DᵀD G = R,    e = scale2 * b2 + (eta + mu) I,
 
 on core n's unfolding G, solved by warm-started preconditioned conjugate
-gradients. The preconditioner is the exact inverse of the two-term part
-a1 G b1 + G e (Wei, Dobigeon & Tourneret, IEEE TIP 2015): a1 = V diag(s) Vᵀ
-is fixed for the whole solve, and at block entry the pair (b1, e) is
-diagonalized by one Cholesky factor and one eigendecomposition of its
-small right-hand side, so applying the inverse takes four small matrix
-products. The term mu * DᵀD G is left out because it acts on the same side
-as a1 and does not commute with it, so the three terms have no common
-eigenbasis. It is also small: the two-term part is at least (eta + mu) I
-and ||DᵀD|| <= 4, so the preconditioned operator's eigenvalues lie in
-[1, 1 + 4 mu / (eta + mu)], and CG needs about two iterations per solve at
-the default weights.
+gradients. Each block entry builds one :class:`BlockSystem` holding the
+operator, the data part of R and the preconditioner: the exact inverse of the
+two-term part a1 G b1 + G e (Wei, Dobigeon & Tourneret, IEEE TIP 2015).
+a1 = V diag(s) Vᵀ is fixed for the whole solve, and (b1, e) is diagonalized
+by one Cholesky factor and one eigendecomposition of its small right-hand side,
+so applying the inverse takes four small products. The term mu * DᵀD G is left
+out because it acts on the same side as a1 and does not commute with it, so
+the three terms have no common eigenbasis. It is also small: the two-term
+part is at least (eta + mu) I and ||DᵀD|| <= 4, so the preconditioned
+operator's eigenvalues lie in [1, 1 + 4 mu / (eta + mu)], and CG needs about
+two iterations per solve at the default weights.
 
 The outer loop never forms the estimate. Its stop rule reads the relative
 change ||x - x_prev|| / ||x|| from ring inner products of the cores
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,42 +211,17 @@ def sylvester_preconditioner(a1_eig: tuple[np.ndarray, np.ndarray],
     return precondition
 
 
-@dataclass(frozen=True)
-class SylvesterOperator:
-    """Positive definite map g -> a1 g b1 + g e + mu * DᵀD g.
-
-    e = scale2 * b2 + (eta + mu) I folds the one-sided data term and the
-    anchor and splitting shifts into one right factor; D differences
-    consecutive rows of g.
-    """
-
-    a1: np.ndarray
-    b1: np.ndarray
-    e: np.ndarray
-    mu: float
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.a1 @ g @ self.b1 + g @ self.e + self.mu * _diff_t(_diff(g, 0), 0)
-
-
-@dataclass(frozen=True)
-class BlockConstants:
-    """The parts of block n's system that stay fixed for a whole solve.
-
-    a1 is w UᵀU for the observation (weight w, operator U) that degrades
-    core n, and a1_eig = (s, V) its eigendecomposition a1 = V diag(s) Vᵀ.
-    """
-
-    a1: np.ndarray
-    a1_eig: tuple[np.ndarray, np.ndarray]
-
-
 def block_constants(n: int, model: DegradationModel, cfg: SolverConfig
-                    ) -> BlockConstants:
+                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The part of block n's system that stays fixed for a whole solve.
+
+    Returns (a1, (s, V)): a1 = w UᵀU for the observation (weight w, operator
+    U) that degrades core n, and its eigendecomposition a1 = V diag(s) Vᵀ.
+    """
     [(u, w)] = [(ops[n], w) for ops, w in zip(model.mode_operators, (1.0, cfg.lam))
                 if ops[n] is not None]
     a1 = w * (u.T @ u)
-    return BlockConstants(a1=a1, a1_eig=np.linalg.eigh(a1))
+    return a1, np.linalg.eigh(a1)
 
 
 def unfold_observations(y: np.ndarray, z: np.ndarray
@@ -257,20 +233,43 @@ def unfold_observations(y: np.ndarray, z: np.ndarray
     return tuple(tuple(unfold(t, n) for n in range(3)) for t in (y, z))
 
 
-def _block_system(n: int, cores, unfolded, model: DegradationModel,
-                  cfg: SolverConfig, c: BlockConstants
-                  ) -> tuple[SylvesterOperator, np.ndarray]:
-    """Quadratic-step operator of block n and the data part of its right-hand side.
+@dataclass(frozen=True)
+class BlockSystem:
+    """Block n's quadratic step: the map g -> a1 g b1 + g e + mu * DᵀD g, the
+    data part ``rhs`` of its right-hand side, and ``precondition``, the exact
+    inverse of the two-term part a1 g b1 + g e (:func:`sylvester_preconditioner`).
 
-    ``unfolded`` is :func:`unfold_observations` of (y, z). Each observation,
-    with weight 1 for y and lam for z, contributes through its subchain
-    matrix p: the cores other than n merged in cyclic order, each degraded by
-    that observation's operator on its mode, so the observation's unfolding
-    factors as U (G_n's unfolding) p. The observation that degrades core n
-    gives the two-sided term w UᵀU g ppᵀ; the other gives w g ppᵀ. Each
-    unfolding is contracted with the narrow p before Uᵀ is applied, which
-    keeps every intermediate as small as the core's unfolding.
+    e = scale2 * b2 + (eta + mu) I folds the one-sided data term and the
+    anchor and splitting shifts into one right factor; D differences
+    consecutive rows of g.
     """
+
+    a1: np.ndarray
+    b1: np.ndarray
+    e: np.ndarray
+    mu: float
+    rhs: np.ndarray
+    precondition: Callable[[np.ndarray], np.ndarray]
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        return self.a1 @ g @ self.b1 + g @ self.e + self.mu * _diff_t(_diff(g, 0), 0)
+
+
+def _block_system(n: int, cores, unfolded, model: DegradationModel,
+                  cfg: SolverConfig, consts) -> BlockSystem:
+    """Block n's quadratic-step system at ``cores``.
+
+    ``unfolded`` is :func:`unfold_observations` of (y, z), and ``consts`` is
+    :func:`block_constants` of block n. Each observation, with weight 1 for y
+    and lam for z, contributes through its subchain matrix p: the cores other
+    than n merged in cyclic order, each degraded by that observation's
+    operator on its mode, so the observation's unfolding factors as
+    U (G_n's unfolding) p. The observation that degrades core n gives the
+    two-sided term w UᵀU g ppᵀ; the other gives w g ppᵀ. Each unfolding is
+    contracted with the narrow p before Uᵀ is applied, which keeps every
+    intermediate as small as the core's unfolding.
+    """
+    a1, a1_eig = consts
     rest = ((n + 1) % 3, (n + 2) % 3)
     rhs = []
     for obs, ops, w in zip(unfolded, model.mode_operators, (1.0, cfg.lam)):
@@ -284,30 +283,27 @@ def _block_system(n: int, cores, unfolded, model: DegradationModel,
         else:
             b1 = p @ p.T
             rhs.append(w * (ops[n].T @ term))
-    op = SylvesterOperator(a1=c.a1, b1=b1, e=e, mu=cfg.mu)
-    return op, rhs[0] + rhs[1]
+    return BlockSystem(a1=a1, b1=b1, e=e, mu=cfg.mu, rhs=rhs[0] + rhs[1],
+                       precondition=sylvester_preconditioner(a1_eig, b1, e))
 
 
-def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
-                 rhs_data: np.ndarray, cfg: SolverConfig,
-                 cg_log: list[tuple[int, float]], c: BlockConstants) -> int:
+def update_block(n: int, cores: list[np.ndarray], system: BlockSystem,
+                 cfg: SolverConfig, cg_log: list[tuple[int, float]]) -> int:
     """One proximal block update of core n via ADMM sweeps, in place in ``cores``.
 
-    (op, rhs_data) is block n's :func:`_block_system` at ``cores``. Per
-    sweep: shrink the weighted differences, solve the quadratic system by
-    warm-started CG, preconditioned by the exact inverse of its two-term part
-    a1 g b1 + g e, threshold the low-rank auxiliary, then take a multiplier
-    ascent step. Weights are recomputed from the current split variable every
-    sweep. Appends each CG solve's (iterations, relative residual) to
-    ``cg_log`` and returns the number of sweeps run.
+    ``system`` is block n's :func:`_block_system` at ``cores``. Per sweep:
+    shrink the weighted differences, solve the system by warm-started CG with
+    its preconditioner, threshold the low-rank auxiliary, then take a
+    multiplier ascent step. Weights are recomputed from the current split
+    variable every sweep. Appends each CG solve's (iterations, relative
+    residual) to ``cg_log`` and returns the number of sweeps run.
     """
     core = cores[n]
     shape = core.shape
     anchor_mat = unfold(core, 1)
-    precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
     mu = cfg.mu
     beta_eff = cfg.beta * cfg.beta_scales[n]
-    rhs_static = rhs_data + cfg.eta * anchor_mat
+    rhs_static = system.rhs + cfg.eta * anchor_mat
 
     v = np.zeros(shape)
     m = np.zeros(shape)
@@ -322,8 +318,8 @@ def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
         rhs = (rhs_static
                + mu * _diff_t(unfold(r + m / mu, 1), 0)
                + mu * unfold(v + nn / mu, 1))
-        g_mat, iters, relres = cg_solve(op.apply, rhs, cfg.cg_tol, cfg.cg_max,
-                                        x0=g_mat, precondition=precondition)
+        g_mat, iters, relres = cg_solve(system.apply, rhs, cfg.cg_tol, cfg.cg_max,
+                                        x0=g_mat, precondition=system.precondition)
         cg_log.append((iters, relres))
         core_new = fold(g_mat, 1, shape)
         v = ltnn_prox(core_new - nn / mu, beta_eff / mu, cfg.eps_log)
@@ -342,12 +338,12 @@ def update_block(n: int, cores: list[np.ndarray], op: SylvesterOperator,
     return sweeps
 
 
-def objective(f: TRFactors, op: SylvesterOperator, rhs_data: np.ndarray,
-              data_sq: float, cfg: SolverConfig) -> float:
+def objective(f: TRFactors, system: BlockSystem, data_sq: float,
+              cfg: SolverConfig) -> float:
     """Model objective at the given cores.
 
-    (op, rhs_data) is block 3's :func:`_block_system` at f's cores 1 and 2,
-    and data_sq = ½||y||² + ½ lam ||z||². The data terms are the block's
+    ``system`` is block 3's :func:`_block_system` at f's cores 1 and 2, and
+    data_sq = ½||y||² + ½ lam ||z||². The data terms are the block's
     quadratic ½ <G, Q G> - <b, G> + data_sq at G = f's core 3 unfolding, where
     Q G = a1 G b1 + G (e - (eta + mu) I). That is a difference of terms as
     large as data_sq, so the value loses about log10(data_sq / objective) of
@@ -357,8 +353,9 @@ def objective(f: TRFactors, op: SylvesterOperator, rhs_data: np.ndarray,
     fixed point the inner loops drive toward.
     """
     g = unfold(f.cores[2], 1)
-    qg = op.a1 @ g @ op.b1 + g @ (op.e - (cfg.eta + cfg.mu) * np.eye(len(op.e)))
-    val = data_sq + 0.5 * float(np.sum(g * qg)) - float(np.sum(rhs_data * g))
+    qg = (system.a1 @ g @ system.b1
+          + g @ (system.e - (cfg.eta + cfg.mu) * np.eye(len(system.e))))
+    val = data_sq + 0.5 * float(np.sum(g * qg)) - float(np.sum(system.rhs * g))
     for n, core in enumerate(f.cores):
         if cfg.alpha != 0.0:
             diff = _diff(core, 1)
@@ -447,24 +444,25 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
     consts = [block_constants(n, model, cfg) for n in range(3)]
     unfolded = unfold_observations(y, z)
     data_sq = 0.5 * (float(np.vdot(y, y)) + cfg.lam * float(np.vdot(z, z)))
+    new_sq = inner(f, f)
 
     history: list[IterationRecord] = []
     t0 = time.perf_counter()
     for k in range(1, cfg.k_max + 1):
-        prev = f
+        prev, prev_sq = f, new_sq
         cg_log: list[tuple[int, float]] = []
         for n in range(3):
-            op, rhs_data = _block_system(n, cores, unfolded, model, cfg, consts[n])
-            update_block(n, cores, op, rhs_data, cfg, cg_log, consts[n])
+            system = _block_system(n, cores, unfolded, model, cfg, consts[n])
+            update_block(n, cores, system, cfg, cg_log)
         f = TRFactors(tuple(cores))
         new_sq = inner(f, f)
         if new_sq <= 0.0:
             raise SolverDivergenceError(f"estimate collapsed to zero at outer {k}")
         # ||x - x_prev||² by expansion: the cancellation costs about 8 of 16
         # digits at rel ≈ 1e-4, and the stop test needs 2
-        diff_sq = new_sq + inner(prev, prev) - 2.0 * inner(f, prev)
+        diff_sq = new_sq + prev_sq - 2.0 * inner(f, prev)
         rel = math.sqrt(max(diff_sq, 0.0) / new_sq)
-        obj = objective(f, op, rhs_data, data_sq, cfg)
+        obj = objective(f, system, data_sq, cfg)
         if not (math.isfinite(obj) and math.isfinite(rel)):
             raise SolverDivergenceError(f"non-finite objective at outer {k} "
                                         f"(objective={obj}, rel_change={rel})")

@@ -11,12 +11,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trfuse.degradation import DegradationModel, degrade
+from trfuse.degradation import DegradationModel, add_noise, degrade
 from trfuse.ring import (TRFactors, _sequential_svd, compose, inner, merge_cores,
-                         tr_svd_init)
-from trfuse.solver import (SolverConfig, _block_system, _diff, _diff_t,
-                           block_constants, sylvester_preconditioner,
-                           unfold_observations)
+                         random_init, tr_svd_init)
+from trfuse.solver import (SolverConfig, SolverDivergenceError, _block_system,
+                           _diff, _diff_t, block_constants, initial_factors,
+                           solve, unfold_observations)
 from trfuse.tensor import fold, mode_n_product, unfold
 
 from helpers import dense_difference
@@ -111,6 +111,33 @@ def test_degradation_commutes_with_the_ring(geometry, ranks, seed):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@settings(PROPERTY, max_examples=50)
+@given(geometry=degradations(), ranks=ranks, phantom_ranks=ranks, seed=seeds,
+       noisy=st.booleans(), k_max=st.integers(1, 3))
+def test_solve_from_a_clamped_init_is_finite_or_diverges_loudly(
+        geometry, ranks, phantom_ranks, seed, noisy, k_max):
+    # the init clamps ranks an observation cannot carry and pads the cores
+    # back; a short solve then returns a finite cube at the requested ranks or
+    # raises SolverDivergenceError, and nothing else
+    dims, model = geometry
+    y, z = degrade(compose(random_init(dims, phantom_ranks, seed=seed)), model)
+    if noisy:
+        y, z = add_noise(y, 30.0, rng=seed), add_noise(z, 35.0, rng=seed + 1)
+    cfg = SolverConfig(ranks=ranks, k_max=k_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        initial_factors(y, z, cfg)
+    assume(any("clamped" in str(w.message) for w in caught))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            res = solve(y, z, model, cfg)
+        except SolverDivergenceError:
+            return
+    assert np.all(np.isfinite(res.fused))
+    assert res.factors.ranks == cfg.ranks
+
+
 @PROPERTY
 @given(dims=extents, seed=seeds)
 def test_fold_inverts_unfold(dims, seed):
@@ -139,10 +166,10 @@ def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
              for n in range(3)]
     cfg = SolverConfig(ranks=ranks, lam=lam, eta=eta, mu=mu)
     for n in range(3):
-        c = block_constants(n, model, cfg)
-        op, _ = _block_system(n, cores, unfold_observations(y, z), model, cfg, c)
+        op = _block_system(n, cores, unfold_observations(y, z), model, cfg,
+                           block_constants(n, model, cfg))
         r = rng.standard_normal((dims[n], ranks[n] * ranks[(n + 1) % 3]))
-        g = sylvester_preconditioner(c.a1_eig, op.b1, op.e)(r)
+        g = op.precondition(r)
         residual = op.a1 @ g @ op.b1 + g @ op.e - r
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r), n
 

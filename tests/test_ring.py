@@ -227,6 +227,11 @@ def test_tr_svd_zero_tensor_gives_zero_cores():
     f = tr_svd_init(np.zeros((4, 5, 6)), (2, 2, 2))
     assert all(np.all(c == 0) for c in f.cores)
     np.testing.assert_array_equal(compose(f), np.zeros((4, 5, 6)))
+    # the third rank clamps to the second split's (2 x 1) matricization
+    with pytest.warns(UserWarning, match=r"clamped to \(1, 1, 1\)"):
+        f = tr_svd_init(np.zeros((3, 2, 1)), (1, 1, 3))
+    assert [c.shape for c in f.cores] == [(1, 3, 1), (1, 2, 1), (1, 1, 1)]
+    assert all(np.all(c == 0) for c in f.cores)
 
 
 def test_tr_svd_rank_one_constant():

@@ -17,8 +17,7 @@ from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
                            _block_system, _diff, block_constants, cg_solve,
                            initial_factors, objective, solve,
-                           sylvester_preconditioner, unfold_observations,
-                           update_block)
+                           unfold_observations, update_block)
 from trfuse.prox import ltnn_value
 from trfuse.tensor import fold, mode_n_product, unfold
 
@@ -39,10 +38,10 @@ def _small_problem(seed=21, noisy=False):
 
 def _objective(f, y, z, model, cfg):
     """solver.objective at f, with block 3's system built at f's cores."""
-    op, rhs = _block_system(2, list(f.cores), unfold_observations(y, z), model,
-                            cfg, block_constants(2, model, cfg))
+    system = _block_system(2, list(f.cores), unfold_observations(y, z), model,
+                           cfg, block_constants(2, model, cfg))
     data_sq = 0.5 * np.sum(y * y) + 0.5 * cfg.lam * np.sum(z * z)
-    return objective(f, op, rhs, data_sq, cfg)
+    return objective(f, system, data_sq, cfg)
 
 
 def test_difference_matrix_rows():
@@ -119,8 +118,8 @@ def test_sylvester_operator_symmetric_and_coercive():
     cfg = SolverConfig(ranks=(2, 3, 2))
     rng = np.random.default_rng(1)
     for n in range(3):
-        op, _ = _block_system(n, list(f.cores), unfold_observations(y, z), model,
-                              cfg, block_constants(n, model, cfg))
+        op = _block_system(n, list(f.cores), unfold_observations(y, z), model,
+                           cfg, block_constants(n, model, cfg))
         # the operator acts on the core's extent-first mode-1 unfolding
         shape = (f.cores[n].shape[1], f.cores[n].shape[0] * f.cores[n].shape[2])
         for _ in range(5):
@@ -141,13 +140,11 @@ def test_preconditioner_inverts_the_two_term_part():
     cfg = SolverConfig(ranks=(2, 3, 2), lam=0.7)
     rng = np.random.default_rng(2)
     for n in range(3):
-        c = block_constants(n, model, cfg)
-        op, _ = _block_system(n, list(f.cores), unfold_observations(y, z), model,
-                              cfg, c)
-        precondition = sylvester_preconditioner(c.a1_eig, op.b1, op.e)
+        op = _block_system(n, list(f.cores), unfold_observations(y, z), model,
+                           cfg, block_constants(n, model, cfg))
         r = rng.standard_normal((f.cores[n].shape[1],
                                  f.cores[n].shape[0] * f.cores[n].shape[2]))
-        g = precondition(r)
+        g = op.precondition(r)
         two_term = op.a1 @ g @ op.b1 + g @ op.e
         assert np.linalg.norm(two_term - r) <= 1e-10 * np.linalg.norm(r), n
         d = dense_difference(len(g))
@@ -196,9 +193,9 @@ def test_huge_anchor_weight_pins_the_block_update():
     cg_log = []
     unfolded = unfold_observations(y, z)
     for n in range(3):
-        c = block_constants(n, model, cfg)
-        op, rhs = _block_system(n, cores, unfolded, model, cfg, c)
-        assert update_block(n, cores, op, rhs, cfg, cg_log, c) == 1
+        system = _block_system(n, cores, unfolded, model, cfg,
+                               block_constants(n, model, cfg))
+        assert update_block(n, cores, system, cfg, cg_log) == 1
         move = (np.linalg.norm(cores[n] - before[n])
                 / np.linalg.norm(before[n]))
         assert move < 1e-6, f"block {n} moved {move}"
@@ -229,11 +226,11 @@ def test_block_system_is_the_data_quadratic():
     for n in range(3):
         shape = cores[n].shape
         d = dense_difference(shape[1])
-        op, rhs = _block_system(n, cores, unfold_observations(y, z), model, cfg,
-                                block_constants(n, model, cfg))
+        op = _block_system(n, cores, unfold_observations(y, z), model, cfg,
+                           block_constants(n, model, cfg))
         g = rng.standard_normal((shape[1], shape[0] * shape[2]))
         qg = op.apply(g) - cfg.mu * (d.T @ d @ g) - (cfg.eta + cfg.mu) * g
-        quad, lin = 0.5 * np.sum(g * qg), np.sum(rhs * g)
+        quad, lin = 0.5 * np.sum(g * qg), np.sum(op.rhs * g)
         got = data_terms(fold(g, 1, shape), n) - data_terms(np.zeros(shape), n)
         scale = abs(quad) + abs(lin) + data_terms(np.zeros(shape), n)
         assert abs(got - (quad - lin)) <= 1e-10 * scale, n
