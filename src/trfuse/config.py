@@ -68,9 +68,13 @@ def _as_int(key, val):
 def _as_float(key, val):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key} must be a number, got {val!r}")
-    if not math.isfinite(float(val)):
+    try:
+        out = float(val)
+    except OverflowError:
+        raise ConfigError(f"{key} is out of the float range") from None
+    if not math.isfinite(out):
         raise ConfigError(f"{key} must be finite, got {val!r}")
-    return float(val)
+    return out
 
 
 def _as_ints(key, val):
@@ -145,7 +149,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past int()'s digit limit
         raise ConfigError(f"invalid JSON: {exc}") from exc
     return parse_experiment_config(raw)
 

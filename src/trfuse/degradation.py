@@ -180,12 +180,15 @@ def add_noise(t: np.ndarray, snr_db: float | None,
               rng: np.random.Generator | int | None = 0) -> np.ndarray:
     """Additive white Gaussian noise at the requested SNR.
 
-    ``snr_db`` of None or +inf disables the noise. The variance follows
+    ``snr_db`` of None or +inf disables the noise; -inf and NaN raise
+    ValueError. The variance follows
     sigma^2 = ||t||_F^2 / (numel * 10^(snr_db/10)).
     """
     t = np.asarray(t, dtype=float)
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return t.copy()
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
     power = float(np.sum(t * t))
     if power == 0.0:
         raise ValueError("cannot set an SNR for an all-zero tensor")

@@ -10,7 +10,8 @@ solver seeks ring cores G1, G2, G3 minimizing
 where x denotes the product along each core's extent mode, D_n is the forward
 difference along that mode (slice i+1 minus slice i, the last slice 0), W_n a
 reweighting, and LTNN the logarithmic tensor nuclear norm. D and its adjoint
-are applied as two-slice stencils; no difference matrix is formed.
+are applied as row stencils written into preallocated arrays; no difference
+matrix is formed.
 
 The outer loop is a proximal alternating minimization over the cores with
 anchor weight eta. Each block runs a small ADMM whose auxiliaries and
@@ -20,9 +21,12 @@ generalized Sylvester system
     a1 G b1 + G e + mu * DᵀD G = R,    e = scale2 * b2 + (eta + mu) I,
 
 on core n's unfolding G, solved by warm-started preconditioned conjugate
-gradients. Each block entry builds one :class:`BlockSystem` holding the
-operator, the data part of R and the preconditioner: the exact inverse of the
-two-term part a1 G b1 + G e (Wei, Dobigeon & Tourneret, IEEE TIP 2015).
+gradients. Each block update runs in that one layout: G, the split variable,
+the low-rank auxiliary and both multipliers stay unfoldings for all sweeps,
+and G is folded back into the core once, on exit. Each block entry builds
+one :class:`BlockSystem` holding the operator, the data part of R and the
+preconditioner: the exact inverse of the two-term part a1 G b1 + G e (Wei,
+Dobigeon & Tourneret, IEEE TIP 2015).
 a1 = V diag(s) Vᵀ is fixed for the whole solve, and (b1, e) is diagonalized
 by one Cholesky factor and one eigendecomposition of its small right-hand side,
 so applying the inverse takes four small products. The term mu * DᵀD G is left
@@ -133,18 +137,26 @@ class FusionResult:
     history: list[IterationRecord]
 
 
-def _diff(x: np.ndarray, axis: int) -> np.ndarray:
-    """D x along ``axis``: slice i+1 minus slice i, and the last slice 0."""
-    return np.diff(x, axis=axis, append=np.take(x, [-1], axis=axis))
+def _diff(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """D x along axis 0, written into ``out``: row i+1 minus row i, the last row 0."""
+    np.subtract(x[1:], x[:-1], out=out[:-1])
+    out[-1] = 0.0
+    return out
 
 
-def _diff_t(w: np.ndarray, axis: int) -> np.ndarray:
-    """Dᵀ w along ``axis``: slice i-1 minus slice i of w's first I-1 slices.
+def _diff_t(head: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """scale * Dᵀ w along axis 0, written into ``out``.
 
-    w's last slice is ignored, as D's last row is zero.
+    ``head`` is w's first I-1 rows; D's last row is zero, so w's last row
+    never enters. Row i of Dᵀ w is w[i-1] - w[i] with the rows -1 and I-1 of
+    w taken as 0. It is formed as -scale times the forward difference of
+    (0, head, 0), each step rounded once.
     """
-    head = np.take(w, range(w.shape[axis] - 1), axis=axis)
-    return -np.diff(head, axis=axis, prepend=0.0, append=0.0)
+    out[:-1] = head
+    out[-1] = 0.0
+    np.subtract(out[1:], head, out=out[1:])
+    np.multiply(out, -scale, out=out)
+    return out
 
 
 def cg_solve(apply, rhs: np.ndarray, tol: float = 1e-6, max_iter: int = 300,
@@ -156,33 +168,34 @@ def cg_solve(apply, rhs: np.ndarray, tol: float = 1e-6, max_iter: int = 300,
     the inverse of ``apply``; the identity gives plain CG.
     Returns (x, iterations, relative residual); stops at
     ||apply(x) - rhs|| <= tol * ||rhs|| (the true residual, not the
-    preconditioned one) or at max_iter.
+    preconditioned one) or at max_iter. ``x0`` is never written to; when no
+    iteration runs, the returned x is ``x0`` itself.
     """
     rhs = np.asarray(rhs, dtype=float)
     bnorm = float(np.linalg.norm(rhs))
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros_like(rhs) if x0 is None else np.asarray(x0, dtype=float)
     if bnorm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
     r = rhs - apply(x)
     s = precondition(r)
     p = s
-    rs = float(np.sum(r * r))
-    rz = float(np.sum(r * s))
+    rs = float((r * r).sum())
+    rz = float((r * s).sum())
     relres = math.sqrt(rs) / bnorm
     iters = 0
     while relres > tol and iters < max_iter:
         ap = apply(p)
-        denom = float(np.sum(p * ap))
+        denom = float((p * ap).sum())
         if denom <= 0.0:
             break
         step = rz / denom
         x = x + step * p
         r = r - step * ap
-        rs = float(np.sum(r * r))
+        rs = float((r * r).sum())
         if not math.isfinite(rs):
             raise SolverDivergenceError("non-finite residual in conjugate gradients")
         s = precondition(r)
-        rz_new = float(np.sum(r * s))
+        rz_new = float((r * s).sum())
         p = s + (rz_new / rz) * p
         rz = rz_new
         relres = math.sqrt(rs) / bnorm
@@ -252,7 +265,10 @@ class BlockSystem:
     precondition: Callable[[np.ndarray], np.ndarray]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.a1 @ g @ self.b1 + g @ self.e + self.mu * _diff_t(_diff(g, 0), 0)
+        out = self.a1 @ g @ self.b1
+        out += g @ self.e
+        out += _diff_t(g[1:] - g[:-1], self.mu, np.empty_like(g))
+        return out
 
 
 def _block_system(n: int, cores, unfolded, model: DegradationModel,
@@ -297,44 +313,54 @@ def update_block(n: int, cores: list[np.ndarray], system: BlockSystem,
     multiplier ascent step. Weights are recomputed from the current split
     variable every sweep. Appends each CG solve's (iterations, relative
     residual) to ``cg_log`` and returns the number of sweeps run.
+
+    The sweeps run on the core's unfolding g, where D differences consecutive
+    rows; the split variable, the low-rank auxiliary and both multipliers
+    share that layout, and g is folded back once, on exit. The prox and the
+    step's norms read g through its (R, I, R') view, so they see the core's
+    own element order.
     """
-    core = cores[n]
-    shape = core.shape
-    anchor_mat = unfold(core, 1)
+    shape = cores[n].shape
+    # C order: CG's sums and products round in g's memory order
+    g = np.ascontiguousarray(unfold(cores[n], 1))
     mu = cfg.mu
     beta_eff = cfg.beta * cfg.beta_scales[n]
-    rhs_static = system.rhs + cfg.eta * anchor_mat
+    rhs_static = system.rhs + cfg.eta * g
 
-    v = np.zeros(shape)
-    m = np.zeros(shape)
-    nn = np.zeros(shape)
-    g_mat = anchor_mat.copy()
-    sweeps = 0
-    for _ in range(cfg.inner_max):
-        sweeps += 1
-        j = _diff(core, 1) - m / mu
+    def as_core(mat: np.ndarray) -> np.ndarray:
+        return mat.reshape(shape[1], shape[2], shape[0]).transpose(2, 0, 1)
+
+    v = np.zeros_like(g)
+    m = np.zeros_like(g)
+    nn = np.zeros_like(g)
+    rhs = np.empty_like(g)
+    dg = _diff(g, np.empty_like(g))
+    for sweeps in range(1, cfg.inner_max + 1):
+        m_mu = m / mu
+        nn_mu = nn / mu
+        j = dg - m_mu
         weights = update_weights(j, cfg.varsigma)
         r = soft_shrink_weighted(j, cfg.alpha / mu, weights)
-        rhs = (rhs_static
-               + mu * _diff_t(unfold(r + m / mu, 1), 0)
-               + mu * unfold(v + nn / mu, 1))
-        g_mat, iters, relres = cg_solve(system.apply, rhs, cfg.cg_tol, cfg.cg_max,
-                                        x0=g_mat, precondition=system.precondition)
+        # rhs = rhs_static + mu Dᵀ(r + m/mu) + mu (v + nn/mu)
+        np.add(rhs_static, _diff_t(r[:-1] + m_mu[:-1], mu, rhs), out=rhs)
+        rhs += mu * (v + nn_mu)
+        g_new, iters, relres = cg_solve(system.apply, rhs, cfg.cg_tol, cfg.cg_max,
+                                        x0=g, precondition=system.precondition)
         cg_log.append((iters, relres))
-        core_new = fold(g_mat, 1, shape)
-        v = ltnn_prox(core_new - nn / mu, beta_eff / mu, cfg.eps_log)
-        m = m + mu * (r - _diff(core_new, 1))
-        nn = nn + mu * (v - core_new)
-        new_norm = frobenius_norm(core_new)
+        np.copyto(as_core(v), ltnn_prox(as_core(g_new - nn_mu), beta_eff / mu,
+                                        cfg.eps_log))
+        m += mu * (r - _diff(g_new, dg))
+        nn += mu * (v - g_new)
+        new_norm = frobenius_norm(as_core(g_new))
         if new_norm == 0.0:
-            step = 0.0 if frobenius_norm(core) == 0.0 else math.inf
+            step = 0.0 if frobenius_norm(g) == 0.0 else math.inf
         else:
-            step = frobenius_norm(core_new - core) / new_norm
-        core = core_new
+            step = frobenius_norm(as_core(g_new - g)) / new_norm
+        g = g_new
         if step < cfg.inner_tol:
             break
 
-    cores[n] = core
+    cores[n] = fold(g, 1, shape)
     return sweeps
 
 
@@ -353,12 +379,14 @@ def objective(f: TRFactors, system: BlockSystem, data_sq: float,
     fixed point the inner loops drive toward.
     """
     g = unfold(f.cores[2], 1)
-    qg = (system.a1 @ g @ system.b1
-          + g @ (system.e - (cfg.eta + cfg.mu) * np.eye(len(system.e))))
+    e = system.e.copy()
+    e.flat[::len(e) + 1] -= cfg.eta + cfg.mu
+    qg = system.a1 @ g @ system.b1 + g @ e
     val = data_sq + 0.5 * float(np.sum(g * qg)) - float(np.sum(system.rhs * g))
     for n, core in enumerate(f.cores):
         if cfg.alpha != 0.0:
-            diff = _diff(core, 1)
+            diff = np.empty_like(core)
+            _diff(core.swapaxes(0, 1), diff.swapaxes(0, 1))
             val += cfg.alpha * l1_norm(update_weights(diff, cfg.varsigma) * diff)
         beta_eff = cfg.beta * cfg.beta_scales[n]
         if beta_eff != 0.0:

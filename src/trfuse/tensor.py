@@ -13,6 +13,8 @@ Ring Decomposition", arXiv:1606.05535): for three ring cores,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -40,13 +42,15 @@ def fold(m: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
     m = np.asarray(m)
     dims = tuple(int(d) for d in dims)
     _check_mode(len(dims), mode)
-    perm = _cyclic_order(len(dims), mode)
-    expected = (dims[mode], int(np.prod([dims[p] for p in perm[1:]], dtype=np.int64)))
+    ndim = len(dims)
+    perm = _cyclic_order(ndim, mode)
+    expected = (dims[mode], math.prod(dims[p] for p in perm[1:]))
     if m.shape != expected:
         raise ValueError(f"matrix shape {m.shape} does not match extents {dims} "
                          f"for mode {mode} (expected {expected})")
     t_perm = m.reshape([dims[p] for p in perm])
-    return np.ascontiguousarray(np.transpose(t_perm, np.argsort(perm)))
+    # the inverse of a cyclic shift by mode is the shift by -mode
+    return np.ascontiguousarray(np.transpose(t_perm, _cyclic_order(ndim, -mode % ndim)))
 
 
 def mode_n_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 
-from trfuse.prox import log_threshold_scalar, ltnn_value, update_weights
+from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
+                         soft_shrink_weighted, update_weights)
 from trfuse.ring import TRFactors, compose
-from trfuse.solver import SolverDivergenceError
-from trfuse.tensor import l1_norm, mode_n_product
+from trfuse.solver import SolverDivergenceError, cg_solve
+from trfuse.tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
 def dense_difference(extent):
@@ -17,6 +18,67 @@ def dense_difference(extent):
     d[idx, idx] = -1.0
     d[idx, idx + 1] = 1.0
     return d
+
+
+def diff_along(x, axis):
+    """D x along ``axis`` by ``np.diff``: slice i+1 minus slice i, the last slice 0."""
+    return np.diff(x, axis=axis, append=np.take(x, [-1], axis=axis))
+
+
+def diff_t_along(w, axis):
+    """Dᵀ w along ``axis`` by ``np.diff``: slice i-1 minus slice i of w's first
+    I-1 slices; w's last slice is ignored, as D's last row is zero."""
+    head = np.take(w, range(w.shape[axis] - 1), axis=axis)
+    return -np.diff(head, axis=axis, prepend=0.0, append=0.0)
+
+
+def reference_update_block(n, cores, system, cfg, cg_log):
+    """The block update as the solver ran it before its sweeps kept the core's
+    unfolding: each sweep unfolds the split variables and folds the CG
+    solution back into a core, and D and Dᵀ (here also inside the system's
+    operator) are :func:`diff_along` and :func:`diff_t_along`."""
+    def apply(g):
+        return (system.a1 @ g @ system.b1 + g @ system.e
+                + system.mu * diff_t_along(diff_along(g, 0), 0))
+
+    core = cores[n]
+    shape = core.shape
+    anchor_mat = unfold(core, 1)
+    mu = cfg.mu
+    beta_eff = cfg.beta * cfg.beta_scales[n]
+    rhs_static = system.rhs + cfg.eta * anchor_mat
+
+    v = np.zeros(shape)
+    m = np.zeros(shape)
+    nn = np.zeros(shape)
+    g_mat = anchor_mat.copy()
+    sweeps = 0
+    for _ in range(cfg.inner_max):
+        sweeps += 1
+        j = diff_along(core, 1) - m / mu
+        weights = update_weights(j, cfg.varsigma)
+        r = soft_shrink_weighted(j, cfg.alpha / mu, weights)
+        rhs = (rhs_static
+               + mu * diff_t_along(unfold(r + m / mu, 1), 0)
+               + mu * unfold(v + nn / mu, 1))
+        g_mat, iters, relres = cg_solve(apply, rhs, cfg.cg_tol, cfg.cg_max,
+                                        x0=g_mat, precondition=system.precondition)
+        cg_log.append((iters, relres))
+        core_new = fold(g_mat, 1, shape)
+        v = ltnn_prox(core_new - nn / mu, beta_eff / mu, cfg.eps_log)
+        m = m + mu * (r - diff_along(core_new, 1))
+        nn = nn + mu * (v - core_new)
+        new_norm = frobenius_norm(core_new)
+        if new_norm == 0.0:
+            step = 0.0 if frobenius_norm(core) == 0.0 else math.inf
+        else:
+            step = frobenius_norm(core_new - core) / new_norm
+        core = core_new
+        if step < cfg.inner_tol:
+            break
+
+    cores[n] = core
+    return sweeps
 
 
 def evaluate_entry(f, idx):

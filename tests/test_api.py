@@ -6,8 +6,8 @@ module and attribute name. Deleting or renaming one of those names breaks
 them only at run time, so this suite checks that every one resolves. The
 tracer also reads what some of those calls take and return: ``cg_solve``'s
 ``tol`` and ``max_iter`` arguments, ``update_block``'s sweep count (one CG
-solve per sweep) and one ``objective`` call per outer iteration; this suite
-pins those too.
+solve per sweep), one ``ltnn_prox`` call per sweep and one ``objective`` call
+per outer iteration; this suite pins those too.
 """
 
 import importlib
@@ -42,11 +42,16 @@ def test_cg_solve_takes_tol_and_max_iter():
     assert "tol" in params and "max_iter" in params
 
 
-def test_update_block_and_objective_calls_match_the_history(monkeypatch):
+def _small_problem():
     dims = (8, 8, 6)
     model = DegradationModel.build(dims, factor=2, kernel_size=3, sigma=1.0,
                                    out_bands=3)
     y, z = degrade(compose(random_init(dims, (2, 2, 2), seed=21)), model)
+    return y, z, model
+
+
+def test_update_block_and_objective_calls_match_the_history(monkeypatch):
+    y, z, model = _small_problem()
     update_block, objective = trfuse.solver.update_block, trfuse.solver.objective
     sweeps, objectives = [], []
 
@@ -70,3 +75,26 @@ def test_update_block_and_objective_calls_match_the_history(monkeypatch):
     for returned, appended in sweeps:
         assert type(returned) is int and returned == appended
     assert len(objectives) == len(res.history)
+
+
+def test_ltnn_prox_runs_once_per_sweep(monkeypatch):
+    # prox.ltnn_prox_calls then equals the sweep count the tracer reports
+    y, z, model = _small_problem()
+    ltnn_prox = trfuse.solver.ltnn_prox
+    events = []
+
+    def counted_cg_solve(*args, **kwargs):
+        events.append("cg")
+        return cg_solve(*args, **kwargs)
+
+    def counted_ltnn_prox(*args, **kwargs):
+        events.append("prox")
+        return ltnn_prox(*args, **kwargs)
+
+    monkeypatch.setattr(trfuse.solver, "cg_solve", counted_cg_solve)
+    monkeypatch.setattr(trfuse.solver, "ltnn_prox", counted_ltnn_prox)
+    res = solve(y, z, model, SolverConfig(ranks=(2, 2, 2), k_max=3))
+    assert len(res.history) == 3
+    sweeps = sum(rec.inner_sweeps for rec in res.history)
+    assert sweeps > 3
+    assert events == ["cg", "prox"] * sweeps

@@ -78,6 +78,10 @@ def test_type_validation():
                 _minimal(sigma=float("nan"))):
         with pytest.raises(ConfigError):
             parse_experiment_config(bad)
+    # an integer past the float range in a float key
+    for key in ("sigma", "lambda"):
+        with pytest.raises(ConfigError, match="out of the float range"):
+            parse_experiment_config(_minimal(**{key: 10**400}))
     with pytest.raises(ConfigError):
         parse_experiment_config(["not", "an", "object"])
 
@@ -112,6 +116,10 @@ def test_load_from_file(tmp_path):
     cfg = load_experiment_config(p)
     assert cfg.factor == 2
     p.write_text("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_experiment_config(p)
+    # an integer literal longer than int() converts
+    p.write_text('{"ground_truth": "gt.tnsr", "seed": 1' + "0" * 5000 + "}")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_experiment_config(p)
     with pytest.raises(ConfigError, match="cannot read"):

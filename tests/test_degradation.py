@@ -189,6 +189,13 @@ def test_add_noise_none_and_inf_are_identity():
     assert t[0, 0, 0] == 1.0  # returned a copy
 
 
+def test_add_noise_rejects_nan_and_minus_inf():
+    t = np.ones((3, 3, 3))
+    for snr in (-np.inf, np.nan, float("nan")):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_noise(t, snr)
+
+
 def test_add_noise_determinism_and_zero_rejection():
     t = np.ones((4, 4, 4))
     a = add_noise(t, 20.0, rng=7)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trfuse.cli
 import trfuse.harness
 from trfuse.cli import main
 from trfuse.config import ConfigError, parse_experiment_config
@@ -27,8 +28,9 @@ from trfuse.harness import (ABLATION_VARIANTS, DataError, build_model,
                             spectral_lift_baseline)
 from trfuse.metrics import metrics_report, rescale_pair
 from trfuse.ring import TRFactors, compose, random_init
+from trfuse.solver import SolverDivergenceError
 from trfuse.tensor import mode_n_product
-from trfuse.tnsr import read_tnsr, write_tnsr
+from trfuse.tnsr import TnsrError, read_tnsr, write_tnsr
 
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 SRC = Path(trfuse.harness.__file__).resolve().parents[1]
@@ -524,6 +526,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["fuse", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "unknown configuration keys: output_dir" in capsys.readouterr().err
+    # an integer too large for a float key (json.dumps writes all its digits)
+    for key in ("sigma", "lambda"):
+        cfg_path.write_text(json.dumps({"ground_truth": "gt.tnsr", key: 10**400}))
+        assert main(["fuse", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} is out of the float range" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -606,6 +614,20 @@ def test_cli_divergence_exit_4(tmp_path, capsys):
         assert main(["fuse", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cli_exit_codes_map_to_error_types(tmp_path, monkeypatch, capsys):
+    # each typed failure of a run gets its documented exit code
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ground_truth": "gt.tnsr"}))
+    for error, code in ((ConfigError, 2), (TnsrError, 3), (DataError, 3),
+                        (SolverDivergenceError, 4)):
+        def fail(*args, error=error):
+            raise error("boom")
+        monkeypatch.setattr(trfuse.cli, "run_fuse", fail)
+        assert main(["fuse", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == code, error
+        assert "boom" in capsys.readouterr().err
 
 
 def test_cli_ablate(gt_file, tmp_path, capsys):

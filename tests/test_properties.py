@@ -16,10 +16,11 @@ from trfuse.ring import (TRFactors, _sequential_svd, compose, inner, merge_cores
                          random_init, tr_svd_init)
 from trfuse.solver import (SolverConfig, SolverDivergenceError, _block_system,
                            _diff, _diff_t, block_constants, initial_factors,
-                           solve, unfold_observations)
+                           solve, unfold_observations, update_block)
 from trfuse.tensor import fold, mode_n_product, unfold
 
-from helpers import dense_difference
+from helpers import (dense_difference, diff_along, diff_t_along,
+                     reference_update_block)
 
 extents = st.tuples(*[st.integers(1, 9)] * 3)
 ranks = st.tuples(*[st.integers(1, 4)] * 3)
@@ -60,17 +61,25 @@ def test_inner_is_the_inner_product_of_the_composed_cubes(dims, ranks_f, ranks_g
     assert abs(inner(f, g) - np.vdot(xf, xg)) <= bound
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @PROPERTY
 @given(dims=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 4)),
        seed=seeds)
 def test_difference_stencils_are_the_dense_difference(dims, seed):
-    # D and Dᵀ as slice stencils against the dense matrix, along the extent
-    # axis of a core (1) and of an unfolding (0); extent 1 gives zeros
+    # D and Dᵀ as row stencils against the dense matrix, along the extent
+    # axis of a core (1) and of an unfolding (0), through a view that puts
+    # that axis first; extent 1 gives zeros
     rng = np.random.default_rng(seed)
     x, w = rng.standard_normal((2, *dims))
+    mu = 0.1
     for axis in (0, 1):
         d = dense_difference(dims[axis])
-        dx, dtw = _diff(x, axis), _diff_t(w, axis)
+        xa, wa = x.swapaxes(0, axis), w.swapaxes(0, axis)
+        dx = _diff(xa, np.empty_like(xa)).swapaxes(0, axis)
+        dtw = _diff_t(wa[:-1], 1.0, np.empty_like(wa)).swapaxes(0, axis)
         assert np.array_equal(dx, mode_n_product(x, d, axis)), axis
         assert np.array_equal(dtw, mode_n_product(w, d.T, axis)), axis
         assert abs(np.vdot(dx, w) - np.vdot(x, dtw)) <= (
@@ -78,7 +87,18 @@ def test_difference_stencils_are_the_dense_difference(dims, seed):
         # DᵀD g rounds differently from the dense dᵀd g
         want = mode_n_product(x, d.T @ d, axis)
         scale = max(np.linalg.norm(want), 1.0)
-        assert np.linalg.norm(_diff_t(dx, axis) - want) <= 1e-14 * scale, axis
+        dtd = _diff_t(xa[1:] - xa[:-1], 1.0, np.empty_like(xa)).swapaxes(0, axis)
+        assert np.linalg.norm(dtd - want) <= 1e-14 * scale, axis
+        # bit for bit, signed zeros included, the np.diff forms scaled by mu;
+        # rounded data has equal neighbours and zeros of both signs
+        for t in (x, np.rint(x)):
+            ta = t.swapaxes(0, axis)
+            assert _same_bits(_diff(ta, np.empty_like(ta)).swapaxes(0, axis),
+                              diff_along(t, axis)), axis
+            dtt = _diff_t(ta[:-1], mu, np.empty_like(ta)).swapaxes(0, axis)
+            assert _same_bits(dtt, mu * diff_t_along(t, axis)), axis
+            dtd = _diff_t(ta[1:] - ta[:-1], mu, np.empty_like(ta)).swapaxes(0, axis)
+            assert _same_bits(dtd, mu * diff_t_along(diff_along(t, axis), axis)), axis
 
 
 @st.composite
@@ -136,6 +156,38 @@ def test_solve_from_a_clamped_init_is_finite_or_diverges_loudly(
             return
     assert np.all(np.isfinite(res.fused))
     assert res.factors.ranks == cfg.ranks
+
+
+@settings(PROPERTY, max_examples=50)
+@given(geometry=degradations(), ranks=ranks, phantom_ranks=ranks, seed=seeds,
+       noisy=st.booleans(), alpha=st.sampled_from((0.0, 1e-4, 1e-2)),
+       beta_scales=st.tuples(*[st.sampled_from((0.0, 0.5, 1.0))] * 3),
+       inner_max=st.integers(1, 10), cg_max=st.sampled_from((1, 2, 300)))
+def test_update_block_is_bit_equal_to_the_reference(
+        geometry, ranks, phantom_ranks, seed, noisy, alpha, beta_scales,
+        inner_max, cg_max):
+    # sweeps on the core's unfolding leave the same core bytes, sweep count
+    # and CG log as the reference's fold and unfold per sweep, block by block
+    # from the (possibly clamped and padded) init
+    dims, model = geometry
+    y, z = degrade(compose(random_init(dims, phantom_ranks, seed=seed)), model)
+    if noisy:
+        y, z = add_noise(y, 30.0, rng=seed), add_noise(z, 35.0, rng=seed + 1)
+    cfg = SolverConfig(ranks=ranks, alpha=alpha, beta_scales=beta_scales,
+                       inner_max=inner_max, cg_max=cg_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cores = list(initial_factors(y, z, cfg).cores)
+    unfolded = unfold_observations(y, z)
+    for n in range(3):
+        system = _block_system(n, cores, unfolded, model, cfg,
+                               block_constants(n, model, cfg))
+        want_cores, want_log, got_log = list(cores), [], []
+        want = reference_update_block(n, want_cores, system, cfg, want_log)
+        got = update_block(n, cores, system, cfg, got_log)
+        assert type(got) is int and got == want, n
+        assert got_log == want_log, n
+        assert all(_same_bits(a, b) for a, b in zip(cores, want_cores)), n
 
 
 @PROPERTY

@@ -46,10 +46,10 @@ def _objective(f, y, z, model, cfg):
 
 def test_difference_matrix_rows():
     # D applied to the identity is D's matrix: rows (-1, +1), last row zero
-    np.testing.assert_array_equal(_diff(np.eye(3), 0),
+    np.testing.assert_array_equal(_diff(np.eye(3), np.empty((3, 3))),
                                   [[-1, 1, 0], [0, -1, 1], [0, 0, 0]])
     # one band has no forward difference: the single row is the zero last row
-    np.testing.assert_array_equal(_diff(np.eye(1), 0), [[0.0]])
+    np.testing.assert_array_equal(_diff(np.eye(1), np.empty((1, 1))), [[0.0]])
 
 
 def _spd_cases():
