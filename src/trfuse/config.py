@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .degradation import snr_power_ratio
 from .solver import SolverConfig
 
 
@@ -41,6 +42,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        for key in ("snr_y_db", "snr_z_db"):
+            # raises where no finite noise has the SNR
+            if (snr := getattr(self, key)) is not None:
+                snr_power_ratio(snr, key)
 
     def as_dict(self) -> dict:
         """The flat JSON object this config parses from."""

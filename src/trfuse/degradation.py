@@ -176,23 +176,42 @@ def degrade(x: np.ndarray, model: DegradationModel) -> tuple[np.ndarray, np.ndar
     return tuple(out)
 
 
+def snr_power_ratio(snr_db: float, name: str = "snr_db") -> float:
+    """The signal-to-noise power ratio 10^(snr_db/10) of an SNR in dB.
+
+    +inf where the power of ten overflows, so that SNR adds no noise.
+    ValueError, naming ``name``, for NaN and where the power of ten
+    underflows to zero (-inf included): no finite noise has that SNR.
+    """
+    if math.isnan(snr_db):
+        raise ValueError(f"{name} must be a number, +inf or None, got {snr_db}")
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+    if ratio == 0.0:
+        raise ValueError(f"{name} of {snr_db} dB is below the float range: "
+                         f"10^({name}/10) underflows to 0")
+    return ratio
+
+
 def add_noise(t: np.ndarray, snr_db: float | None,
               rng: np.random.Generator | int | None = 0) -> np.ndarray:
     """Additive white Gaussian noise at the requested SNR.
 
-    ``snr_db`` of None or +inf disables the noise; -inf and NaN raise
-    ValueError. The variance follows
-    sigma^2 = ||t||_F^2 / (numel * 10^(snr_db/10)).
+    ``snr_db`` of None, +inf, or so large that 10^(snr_db/10) overflows,
+    disables the noise; NaN, -inf, or so small that the power of ten
+    underflows to zero, raise ValueError (see :func:`snr_power_ratio`). The
+    variance follows sigma^2 = ||t||_F^2 / (numel * 10^(snr_db/10)).
     """
     t = np.asarray(t, dtype=float)
-    if snr_db is None or snr_db == math.inf:
+    ratio = math.inf if snr_db is None else snr_power_ratio(snr_db)
+    if ratio == math.inf:
         return t.copy()
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
     power = float(np.sum(t * t))
     if power == 0.0:
         raise ValueError("cannot set an SNR for an all-zero tensor")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    sigma = math.sqrt(power / (t.size * 10.0 ** (snr_db / 10.0)))
+    sigma = math.sqrt(power / (t.size * ratio))
     return t + sigma * rng.standard_normal(t.shape)

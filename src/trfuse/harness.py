@@ -30,6 +30,15 @@ def _require(cond: bool, msg: str) -> None:
         raise DataError(msg)
 
 
+@contextmanager
+def _data_errors():
+    """Report a ValueError raised on the loaded data as a DataError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def build_model(dims: tuple[int, int, int], cfg: ExperimentConfig) -> DegradationModel:
     response = None
     if cfg.spectral_response is not None:
@@ -52,8 +61,9 @@ def simulate_pair(gt: np.ndarray, cfg: ExperimentConfig
     model = build_model(gt.shape, cfg)
     y0, z0 = degrade(gt, model)
     stream_y, stream_z = np.random.SeedSequence(cfg.seed).spawn(2)
-    y = add_noise(y0, cfg.snr_y_db, np.random.default_rng(stream_y))
-    z = add_noise(z0, cfg.snr_z_db, np.random.default_rng(stream_z))
+    with _data_errors():  # an all-zero observation has no SNR
+        y = add_noise(y0, cfg.snr_y_db, np.random.default_rng(stream_y))
+        z = add_noise(z0, cfg.snr_z_db, np.random.default_rng(stream_z))
     return model, y, z
 
 
@@ -145,15 +155,6 @@ def _release_freed_heap() -> None:
     except (AttributeError, OSError, TypeError):
         return
     trim(0)
-
-
-@contextmanager
-def _data_errors():
-    """Report a ValueError raised on the loaded data as a DataError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
 
 
 def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:

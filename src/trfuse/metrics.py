@@ -14,14 +14,16 @@ CPU the process may run on; smaller ones are scored in the calling thread.
 A task returns all a report takes from its band, and results are gathered
 in band order, so no output depends on the number of threads.
 
-SSIM and UIQI use the local means only through mu1*mu2 and mu1² + mu2², and
-the variances only through var1 + var2, so both take their local moments
-from four stacked maps, x, y, x² + y² and xy, under two windows: SSIM's
-11x11 Gaussian, and UIQI's box, which makes UIQI SSIM with C1 = C2 = 0
-(Wang & Bovik, IEEE SPL 9(3), 2002). A band narrower than the window is one
-whole-band window whose moments are centred on the band means before
-squaring, so a constant band's variance is at most a squared rounding error
-and UIQI skips the band.
+SSIM and UIQI are one index, the mean over sliding windows of
+(2 mu1 mu2 + c1)(2 cov + c2) / ((mu1² + mu2² + c1)(var1 + var2 + c2)):
+SSIM under an 11x11 Gaussian window (sigma 1.5) with its C1 and C2, UIQI
+under a 32x32 box with c1 = c2 = 0 (Wang & Bovik, IEEE SPL 9(3), 2002).
+Both windows are separable, so one filter serves both, and the index uses
+the local means only through mu1 mu2 and mu1² + mu2² and the variances only
+through var1 + var2; it filters four stacked maps, x, y, x² + y² and xy.
+A band narrower than the window is one whole-band window whose moments are
+centred on the band means before squaring, so a constant band's variance is
+at most a squared rounding error and UIQI skips the band.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def rescale_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return to255(ref), to255(est)
 
 
-def _score_band(ref: np.ndarray, est: np.ndarray, band: int,
-                uiqi_window: int) -> tuple[float, float, float, float]:
+def _score_band(ref: np.ndarray, est: np.ndarray,
+                band: int) -> tuple[float, float, float, float]:
     """Everything a report takes from one band of a checked pair.
 
     Returns the band's squared-error sum, its reference sum, its SSIM and its
@@ -105,27 +107,27 @@ def _score_band(ref: np.ndarray, est: np.ndarray, band: int,
     sq_err = np.vdot(d, d)
     ref_sum = x.sum()
     maps = np.stack((x, y, x * x + y * y, x * y))
-    return (sq_err, ref_sum, _ssim_band(maps),
-            _uiqi_band(maps, uiqi_window))
+    return (sq_err, ref_sum, _windowed_index(maps, _SSIM_TAPS, _C1, _C2),
+            _windowed_index(maps, _UIQI_TAPS, 0.0, 0.0))
 
 
-def _moments(maps: np.ndarray, mean, window: int) -> tuple:
+def _moments(maps: np.ndarray, taps: np.ndarray) -> tuple:
     """mu1*mu2, mu1² + mu2², var1 + var2 and the covariance, as 2-D maps.
 
-    ``maps`` stacks a band pair's x, y, x² + y² and xy; ``mean`` is the
-    valid-mode mean over ``window`` x ``window`` windows of each stacked map.
-    Bands narrower than the window get one whole-band window, taken in two
-    passes: centring first leaves a constant band a variance of at most a
-    squared rounding error, where E[x²] - mu² would leave the error itself.
+    ``maps`` stacks a band pair's x, y, x² + y² and xy; the window is
+    outer(taps, taps). Bands narrower than the window get one whole-band
+    window, taken in two passes: centring first leaves a constant band a
+    variance of at most a squared rounding error, where E[x²] - mu² would
+    leave the error itself.
     """
-    if min(maps.shape[1:]) < window:
+    if min(maps.shape[1:]) < taps.size:
         x, y = maps[0], maps[1]
         mu1, mu2 = x.mean(), y.mean()
         dx, dy = x - mu1, y - mu2
         stats = (mu1 * mu2, mu1 * mu1 + mu2 * mu2,
                  np.mean(dx * dx) + np.mean(dy * dy), np.mean(dx * dy))
         return tuple(np.full((1, 1), m) for m in stats)
-    mu1, mu2, power, cross = mean(maps)
+    mu1, mu2, power, cross = _windowed_mean(maps, taps)
     mu12 = mu1 * mu2
     mu_sq = mu1 * mu1 + mu2 * mu2
     return mu12, mu_sq, power - mu_sq, cross - mu12
@@ -143,43 +145,27 @@ def _windowed_mean(maps: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return (sliding(cols, taps.size, axis=1) @ taps).transpose(0, 2, 1)
 
 
+_SSIM_TAPS = gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+_UIQI_TAPS = np.full(UIQI_WINDOW, 1.0 / UIQI_WINDOW)
 _C1 = (0.01 * PEAK) ** 2
 _C2 = (0.03 * PEAK) ** 2
 
 
-def _ssim_band(maps: np.ndarray) -> float:
-    """SSIM of one band pair, 11x11 Gaussian window (sigma 1.5).
+def _windowed_index(maps: np.ndarray, taps: np.ndarray,
+                    c1: float, c2: float) -> float:
+    """SSIM (c1 = C1, c2 = C2) or UIQI (c1 = c2 = 0) of one band pair.
 
-    The window is separable, so each stacked map is filtered as two 1-D
-    passes, one per spatial axis.
+    Windows whose denominator vanishes are skipped, which only UIQI's can:
+    SSIM's is at least C1·C2. A band with no usable window yields nan.
     """
-    mean = partial(_windowed_mean, taps=gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA))
-    mu12, mu_sq, var, cov = _moments(maps, mean, SSIM_WINDOW)
-    num = (2.0 * mu12 + _C1) * (2.0 * cov + _C2)
-    den = (mu_sq + _C1) * (var + _C2)
-    return float(np.mean(num / den))
-
-
-def _box_mean(maps: np.ndarray, w: int) -> np.ndarray:
-    """Valid-mode mean of each stacked map over w x w boxes, from 2-D cumulative sums."""
-    c = np.zeros((maps.shape[0], maps.shape[1] + 1, maps.shape[2] + 1))
-    sums = c[:, 1:, 1:]
-    np.cumsum(maps, axis=1, out=sums)
-    np.cumsum(sums, axis=2, out=sums)
-    out = c[:, w:, w:] - c[:, :-w, w:]
-    out -= c[:, w:, :-w]
-    out += c[:, :-w, :-w]
-    out /= w * w
-    return out
-
-
-def _uiqi_band(maps: np.ndarray, window: int) -> float:
-    """UIQI of one band pair over sliding boxes; vanishing denominators skipped."""
-    mu12, mu_sq, var, cov = _moments(maps, partial(_box_mean, w=window), window)
-    num = 4.0 * cov * mu12
-    den = var * mu_sq
+    mu12, mu_sq, var, cov = _moments(maps, taps)
+    num = (2.0 * mu12 + c1) * (2.0 * cov + c2)
+    den = (mu_sq + c1) * (var + c2)
     valid = np.abs(den) > _DENOM_FLOOR
-    return float(np.mean(num[valid] / den[valid])) if np.any(valid) else np.nan
+    if valid.all():
+        # gathering the usable windows would copy both maps for nothing
+        return float(np.mean(num / den))
+    return float(np.mean(num[valid] / den[valid])) if valid.any() else np.nan
 
 
 @cache
@@ -203,14 +189,13 @@ class _BandScores(NamedTuple):
     uiqi: np.ndarray
 
 
-def _walk(ref: np.ndarray, est: np.ndarray,
-          uiqi_window: int = UIQI_WINDOW) -> _BandScores:
+def _walk(ref: np.ndarray, est: np.ndarray) -> _BandScores:
     """Score every band of a checked pair, gathered in band order.
 
     Each band is scored whole by one worker, so the scores do not depend on
     the number of workers, nor on whether the bands ran on the pool.
     """
-    score = partial(_score_band, ref, est, uiqi_window=uiqi_window)
+    score = partial(_score_band, ref, est)
     bands = range(ref.shape[2])
     if ref.shape[0] * ref.shape[1] >= _POOL_MIN_PIXELS:
         rows = list(_pool().map(score, bands))
@@ -302,21 +287,18 @@ def sam(ref: np.ndarray, est: np.ndarray) -> float:
     return _sam_and_skipped(*_check_pair(ref, est))[0]
 
 
-def uiqi_per_band(ref: np.ndarray, est: np.ndarray,
-                  window: int = UIQI_WINDOW) -> np.ndarray:
-    """Universal image quality index per band over sliding windows (stride 1).
+def uiqi_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """Universal image quality index per band over 32x32 sliding windows (stride 1).
 
     Vanishing-denominator windows are skipped; bands narrower than the window
     use one global window. A band with no usable window yields nan.
     """
     ref, est = _check_pair(ref, est)
-    if window < 1:
-        raise ValueError("window must be positive")
-    return _walk(ref, est, window).uiqi
+    return _walk(ref, est).uiqi
 
 
-def uiqi(ref: np.ndarray, est: np.ndarray, window: int = UIQI_WINDOW) -> float:
-    return _uiqi_from_bands(uiqi_per_band(ref, est, window))
+def uiqi(ref: np.ndarray, est: np.ndarray) -> float:
+    return _uiqi_from_bands(uiqi_per_band(ref, est))
 
 
 def _uiqi_from_bands(per_band: np.ndarray) -> float:

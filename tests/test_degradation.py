@@ -196,6 +196,23 @@ def test_add_noise_rejects_nan_and_minus_inf():
             add_noise(t, snr)
 
 
+def test_add_noise_at_the_ends_of_the_float_range():
+    t = np.random.default_rng(3).uniform(1.0, 2.0, size=(4, 5, 3))
+    power = float(np.sum(t * t))
+    # a finite, nonzero power of ten keeps the formula bit for bit
+    for snr in (3000.0, -3000.0):
+        sigma = np.sqrt(power / (t.size * 10.0 ** (snr / 10.0)))
+        want = t + sigma * np.random.default_rng(5).standard_normal(t.shape)
+        got = add_noise(t, snr, rng=5)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, want)
+    # 10^400 overflows: no noise, as with None
+    np.testing.assert_array_equal(add_noise(t, 4000.0, rng=5), add_noise(t, None))
+    # 10^-400 underflows to 0: no finite noise has that SNR
+    with pytest.raises(ValueError, match="snr_db of -4000.0 dB"):
+        add_noise(t, -4000.0)
+
+
 def test_add_noise_determinism_and_zero_rejection():
     t = np.ones((4, 4, 4))
     a = add_noise(t, 20.0, rng=7)

@@ -353,12 +353,17 @@ def test_run_ablate_rows_and_table(gt_file, tmp_path):
         run_ablate(parse_experiment_config({"y": "a", "z": "b"}), out)
 
 
-def test_ablation_rows_match_oracle_coefficients(gt_file, tmp_path):
-    # the benchmark's oracle states each variant's coefficients from the
-    # paper's ablation, independently of ABLATION_VARIANTS
+def _bench_oracle():
     spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_ablation_rows_match_oracle_coefficients(gt_file, tmp_path):
+    # the benchmark's oracle states each variant's coefficients from the
+    # paper's ablation, independently of ABLATION_VARIANTS
+    oracle = _bench_oracle()
     cols = ("alpha", "beta_core1", "beta_core2", "beta_core3")
     for alpha, beta in ((1e-3, 0.7), (2e-4, 2.0)):
         out = tmp_path / f"abl-{beta}"
@@ -370,6 +375,25 @@ def test_ablation_rows_match_oracle_coefficients(gt_file, tmp_path):
             row = dict(zip(header, line.split(",")))
             got[row["variant"]] = tuple(float(row[c]) for c in cols)
         assert got == oracle.expected_coefficients(alpha, beta)
+
+
+def test_fuse_outputs_pass_the_benchmark_checks(tmp_path):
+    # the output checks of the benchmark, on its self-test's small phantom
+    # and degradation: a scoring change the benchmark would count incorrect
+    # fails here first
+    oracle = _bench_oracle()
+    gt = oracle.ring_phantom((32, 32, 16), (2, 4, 2), 11)
+    _, z = oracle.degrade(gt, 2, 5, 1.0, 6)
+    baseline_db = oracle.psnr_db(gt, oracle.spectral_lift(z, 16))
+    write_tnsr(tmp_path / "gt.tnsr", gt)
+    out = tmp_path / "out"
+    run_fuse(parse_experiment_config(
+        {"ground_truth": str(tmp_path / "gt.tnsr"), "factor": 2,
+         "kernel_size": 5, "sigma": 1.0, "msi_bands": 6, "ranks": [2, 4, 2],
+         "seed": 3}), out)
+    assert oracle.check_fused(out, gt, baseline_db)[0] == []
+    assert oracle.check_convergence(out) == []
+    assert oracle.check_metrics(out, gt, 2) == []
 
 
 def test_ablation_shares_one_initialization(gt_file, tmp_path, monkeypatch):
@@ -532,6 +556,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main(["fuse", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")]) == 2
         assert f"{key} is out of the float range" in capsys.readouterr().err
+    # an SNR whose power of ten underflows asks for more noise than a float holds
+    cfg_path.write_text(json.dumps({"ground_truth": "gt.tnsr", "snr_z_db": -4000.0}))
+    for command in ("simulate", "fuse", "ablate"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "snr_z_db of -4000.0 dB" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -581,6 +611,35 @@ def test_cli_data_errors_exit_3(gt_file, tmp_path, capsys):
     assert main(["fuse", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 3
     assert "data error" in capsys.readouterr().err
+    # an all-zero ground truth has no SNR to set
+    write_tnsr(tmp_path / "zero.tnsr", np.zeros((16, 16, 8)))
+    cfg_path.write_text(json.dumps({"ground_truth": str(tmp_path / "zero.tnsr"),
+                                    "factor": 2, "msi_bands": 4,
+                                    "kernel_size": 3, "ranks": [2, 3, 2]}))
+    for command in ("simulate", "fuse", "ablate"):
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / command)]) == 3
+        assert "all-zero tensor" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def test_cli_overflowing_snr_adds_no_noise(gt_file, tmp_path):
+    # 10^400 overflows: the key acts as null, down to the output bytes
+    raw = {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+           "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}
+    for key in ("snr_y_db", "snr_z_db"):
+        outs = []
+        for val in (4000.0, None):
+            cfg_path = tmp_path / f"{key}-{val}.json"
+            cfg_path.write_text(json.dumps({**raw, key: val}))
+            out = tmp_path / f"{key}-{val}"
+            for command in ("simulate", "fuse"):
+                assert main([command, "--config", str(cfg_path),
+                             "--out", str(out / command)]) == 0
+            outs.append(out)
+        for name in ("simulate/y.tnsr", "simulate/z.tnsr", "fuse/xhat.tnsr",
+                     "fuse/per_band.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cli_overflowing_observations_exit_3(tmp_path, capsys):

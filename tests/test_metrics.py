@@ -4,6 +4,7 @@ The reference implementations below loop over bands and window positions and
 compute every statistic directly, sharing no code with the module under test.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -167,15 +168,14 @@ def test_ssim_small_image_uses_global_stats():
 
 
 def test_uiqi_matches_naive_reference_windowed():
-    ref, est = _pair((36, 34, 3), 11)
-    assert abs(uiqi(ref, est) - _naive_uiqi(ref, est, 32)) < 1e-8
-    # custom smaller window on a smaller image, and on bands as wide as the
-    # window and one wider along either axis
-    for shape, seed in (((16, 18, 2), 12), ((8, 9, 2), 23), ((9, 8, 2), 24)):
+    # a band larger than the window, bands as wide as the window and one
+    # wider along either axis
+    for shape, seed in (((36, 34, 3), 11), ((32, 32, 2), 12), ((32, 33, 2), 23),
+                        ((33, 32, 2), 24)):
         ref, est = _pair(shape, seed)
-        assert abs(uiqi(ref, est, window=8) - _naive_uiqi(ref, est, 8)) < 1e-8
-    ref, est = _flat_pair((16, 18, 3), 26)
-    assert abs(uiqi(ref, est, window=8) - _naive_uiqi(ref, est, 8)) < 1e-8
+        assert abs(uiqi(ref, est) - _naive_uiqi(ref, est, 32)) < 1e-8
+    ref, est = _flat_pair((36, 34, 3), 26)
+    assert abs(uiqi(ref, est) - _naive_uiqi(ref, est, 32)) < 1e-8
 
 
 def test_uiqi_small_image_global_window_and_nan_band():
@@ -192,13 +192,48 @@ def test_uiqi_small_image_global_window_and_nan_band():
     flat_ref = np.full((10, 10, 1), 7.0)
     with pytest.raises(ValueError):
         uiqi(flat_ref, flat_ref.copy())
-    with pytest.raises(ValueError):
-        uiqi_per_band(ref, est, window=0)
 
 
 def test_uiqi_perfect_match_on_varied_image():
     ref, _ = _pair((33, 33, 2), 14)
     assert abs(uiqi(ref, ref.copy()) - 1.0) < 1e-10
+
+
+def _exact_uiqi_per_band(ref, est, w):
+    # on cubes of multiples of 2**-16 below 256, every box sum, moment and
+    # product is an exact Python int once scaled by 2**16, and int / int is
+    # correctly rounded, so the only rounding is in the final mean
+    unit = 2.0 ** 16
+    vals = []
+    for b in range(ref.shape[2]):
+        x, y = ((c[:, :, b] * unit).astype(np.int64).astype(object)
+                for c in (ref, est))
+
+        def box(m):
+            c = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=object)
+            c[1:, 1:] = m.cumsum(axis=0).cumsum(axis=1)
+            return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+
+        sx, sy, spow, sxy = box(x), box(y), box(x * x + y * y), box(x * y)
+        mu12, mu_sq = sx * sy, sx * sx + sy * sy  # times (w² · 2**16)²
+        cov, var = w * w * sxy - mu12, w * w * spow - mu_sq
+        q = (4 * cov * mu12) / (var * mu_sq)
+        vals.append(math.fsum(q.ravel()) / q.size)
+    return np.array(vals)
+
+
+def test_uiqi_is_accurate_on_a_near_flat_pair():
+    # local variances of about 250 under means of about 227, so var1 + var2
+    # cancels E[x² + y²] against mu1² + mu2² two hundredfold: the local means
+    # must be accurate to a few ulps for UIQI to be
+    rng = np.random.default_rng(28)
+    ref = rng.uniform(200.0, 255.0, size=(128, 128, 2))
+    est = ref + rng.normal(0.0, 1.0, size=ref.shape)
+    # on the 2**-16 grid x² + y² and xy are exact in floating point too
+    ref, est = (np.rint(c * 2.0 ** 16) / 2.0 ** 16 for c in (ref, est))
+    want = _exact_uiqi_per_band(ref, est, 32)
+    got = uiqi_per_band(ref, est)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
 
 
 def test_sam_reference_angles_exact():
