@@ -201,7 +201,8 @@ def add_noise(t: np.ndarray, snr_db: float | None,
 
     ``snr_db`` of None, +inf, or so large that 10^(snr_db/10) overflows,
     disables the noise; NaN, -inf, or so small that the power of ten
-    underflows to zero, raise ValueError (see :func:`snr_power_ratio`). The
+    underflows to zero, raise ValueError (see :func:`snr_power_ratio`), as
+    does an SNR so low that sigma overflows on a finite signal power. The
     variance follows sigma^2 = ||t||_F^2 / (numel * 10^(snr_db/10)).
     """
     t = np.asarray(t, dtype=float)
@@ -214,4 +215,7 @@ def add_noise(t: np.ndarray, snr_db: float | None,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     sigma = math.sqrt(power / (t.size * ratio))
+    if math.isinf(sigma) and math.isfinite(power):
+        raise ValueError(f"an SNR of {snr_db} dB puts the noise sigma past "
+                         f"the float range")
     return t + sigma * rng.standard_normal(t.shape)

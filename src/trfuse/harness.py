@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .degradation import DegradationModel, add_noise, degrade
-from .metrics import MetricsReport, metrics_report, reference_map, rescale_pair
+from .metrics import MetricsReport, metrics_report, reference_span
 from .solver import FusionResult, check_observations, initial_factors, solve
 from .tnsr import read_tnsr, write_tnsr
 
@@ -31,12 +31,12 @@ def _require(cond: bool, msg: str) -> None:
 
 
 @contextmanager
-def _data_errors():
-    """Report a ValueError raised on the loaded data as a DataError."""
+def _data_errors(key: str | None = None):
+    """Report a ValueError raised on the loaded data as a DataError naming ``key``."""
     try:
         yield
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise DataError(str(exc) if key is None else f"{key}: {exc}") from exc
 
 
 def build_model(dims: tuple[int, int, int], cfg: ExperimentConfig) -> DegradationModel:
@@ -61,8 +61,10 @@ def simulate_pair(gt: np.ndarray, cfg: ExperimentConfig
     model = build_model(gt.shape, cfg)
     y0, z0 = degrade(gt, model)
     stream_y, stream_z = np.random.SeedSequence(cfg.seed).spawn(2)
-    with _data_errors():  # an all-zero observation has no SNR
+    # an all-zero observation has no SNR, and too low an SNR no finite noise
+    with _data_errors("snr_y_db"):
         y = add_noise(y0, cfg.snr_y_db, np.random.default_rng(stream_y))
+    with _data_errors("snr_z_db"):
         z = add_noise(z0, cfg.snr_z_db, np.random.default_rng(stream_z))
     return model, y, z
 
@@ -160,15 +162,17 @@ def _release_freed_heap() -> None:
 def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     """Fuse and, given a ground truth, score the fused cube and the baseline.
 
-    Scoring rescales the ground truth once and releases each cube as soon as
-    it is scored, so at most three cube-sized arrays are live after solve.
-    The baseline is rescaled in place: a fourth cube would raise the peak,
-    on top of what the scoring threads' allocator arenas keep. The heap the
+    A constant ground truth is refused before the solve. Each report scores
+    its cube against the ground truth in their own units, and the fused cube
+    is released before the baseline is lifted, so two cube-sized arrays are
+    live while scoring. The heap the
     solve freed is returned to the OS before the output is written, and the
-    arenas' free pages once the baseline is scored.
+    scoring threads' arenas' free pages once the baseline is scored.
     """
     gt, model, y, z = load_inputs(cfg)
     with _data_errors():
+        if gt is not None:
+            reference_span(gt)  # a constant ground truth cannot be scored
         result = solve(y, z, model, cfg.solver)
     del y  # only z is read again, by the baseline
     _release_freed_heap()
@@ -183,23 +187,16 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
         return summary
     write_tnsr(out / "error_tensor.tnsr", result.fused - gt)
     with _data_errors():
-        to255 = reference_map(gt)
-    ref255 = to255(gt)
-    del gt
-    est255 = to255(result.fused)
+        report = metrics_report(gt, result.fused, cfg.factor)
     del result
-    with _data_errors():
-        report = metrics_report(ref255, est255, cfg.factor)
-    del est255
     _write_json(out / "metrics.json",
                 {"metrics": report.scalars(),
                  "effective_ranks": summary["effective_ranks"],
                  "config": cfg.as_dict()})
     _write_per_band(out / "per_band.csv", report)
-    base255 = spectral_lift_baseline(z, model)
-    to255(base255, out=base255)
     with _data_errors():
-        base_report = metrics_report(ref255, base255, cfg.factor)
+        base_report = metrics_report(gt, spectral_lift_baseline(z, model),
+                                     cfg.factor)
     _release_freed_heap()
     _write_json(out / "baseline.json",
                 {"metrics": base_report.scalars(),
@@ -230,17 +227,15 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
         raise ConfigError("ablate requires a ground_truth path")
     gt, model, y, z = load_inputs(cfg)
     with _data_errors():
+        reference_span(gt)  # a constant ground truth cannot be scored
         y, z = check_observations(y, z, model)
         init = initial_factors(y, z, cfg.solver)
-        to255 = reference_map(gt)
-    ref255 = to255(gt)
-    del gt
     rows = []
     for name, overrides in ABLATION_VARIANTS:
         scfg = replace(cfg.solver, **overrides)
         with _data_errors():
             result = solve(y, z, model, scfg, init_factors_override=init)
-            report = metrics_report(ref255, to255(result.fused), cfg.factor)
+            report = metrics_report(gt, result.fused, cfg.factor)
         row = {"variant": name, "alpha": scfg.alpha}
         for i in range(3):
             row[f"beta_core{i + 1}"] = scfg.beta * scfg.beta_scales[i]
@@ -261,7 +256,7 @@ def run_metrics(ref_path, est_path, factor: int, out_dir=None) -> dict:
     ref = read_tnsr(ref_path)
     est = read_tnsr(est_path)
     with _data_errors():
-        report = metrics_report(*rescale_pair(ref, est), factor)
+        report = metrics_report(ref, est, factor)
     payload = {"metrics": report.scalars(), "ref": str(ref_path),
                "est": str(est_path), "factor": factor}
     if out_dir is not None:

@@ -1,18 +1,19 @@
 """Full-reference quality indices for image cubes on the 0..255 convention.
 
 All functions take two equally shaped 3-way arrays (width, height, bands).
-Callers are expected to rescale both cubes with :func:`rescale_pair` first so
-the reference spans [0, 255]; the indices themselves are plain arithmetic.
-The rescaled cubes keep their (width, height, bands) shape but are stored
-band-major, so every band ``x[:, :, b]`` is a contiguous view and the band
-walk copies nothing. The indices accept any memory layout; the layout only
-decides whether the walk copies.
+:func:`metrics_report` takes both cubes in their own units: it finds the
+reference's span once, and each band task maps its two bands onto [0, 255]
+with (x - min) * 255 / (max - min) as it reads them. The single indices
+(:func:`psnr`, :func:`ssim`, ...) are plain arithmetic on the cubes they are
+given, the same walk under the identity map. The walk makes no cube-sized
+copy, and every memory layout gives the same bits.
 
-Every index but SAM comes from one walk over the bands, one band per task.
-Bands of at least 192x192 pixels are spread over a pool of threads, one per
-CPU the process may run on; smaller ones are scored in the calling thread.
-A task returns all a report takes from its band, and results are gathered
-in band order, so no output depends on the number of threads.
+Every index comes from one walk over the bands, one band per task. Bands of
+at least 192x192 pixels are spread over a pool of threads, one per CPU the
+process may run on; smaller ones are scored in the calling thread. A task
+returns all a report takes from its band, and the walk takes the results in
+band order, adding each mapped pair into SAM's per-pixel sums, so no output
+depends on the number of threads.
 
 SSIM and UIQI are one index, the mean over sliding windows of
 (2 mu1 mu2 + c1)(2 cov + c2) / ((mu1² + mu2² + c1)(var1 + var2 + c2)):
@@ -29,7 +30,6 @@ at most a squared rounding error and UIQI skips the band.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import NamedTuple
@@ -55,60 +55,49 @@ def _check_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return ref, est
 
 
-def reference_map(ref: np.ndarray) -> Callable[..., np.ndarray]:
-    """The affine map that takes the reference's range onto [0, 255].
+def reference_span(ref: np.ndarray) -> tuple[float, float]:
+    """(min, 255 / (max - min)): the map of the reference's range onto [0, 255].
 
-    The map sends a (W, H, B) cube x to (x - min) * 255 / (max - min), stored
-    band-major, or into ``out`` (which may be x itself) when given. A constant
-    reference has no such map (ValueError).
+    A constant reference has no such map (ValueError).
     """
     lo, hi = float(np.min(ref)), float(np.max(ref))
     if hi == lo:
         raise ValueError("reference tensor is constant; rescale undefined")
-    return partial(_affine_band_major, lo=lo, scale=PEAK / (hi - lo))
+    return lo, PEAK / (hi - lo)
 
 
-_RESCALE_SLAB = 8
-
-
-def _affine_band_major(x: np.ndarray, lo: float, scale: float,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    # slabs of mode-0 rows are mapped into a temporary in x's own layout and
-    # then copied into out: on a C-order x this transposes a cache-sized slab
-    # at a time, about three times faster than one strided pass over the cube
-    if out is None:
-        out = np.empty((x.shape[2], x.shape[0], x.shape[1])).transpose(1, 2, 0)
-    for i in range(0, x.shape[0], _RESCALE_SLAB):
-        slab = np.subtract(x[i:i + _RESCALE_SLAB], lo)
-        slab *= scale
-        out[i:i + _RESCALE_SLAB] = slab
+def _mapped(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
+    """(x - lo) * scale, rounded in that order, in a fresh C-order array."""
+    out = np.subtract(x, lo, order="C")
+    out *= scale
     return out
 
 
 def rescale_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affinely map the reference range onto [0, 255]; apply the same map to est."""
+    """Map the reference range onto [0, 255] and est by the same map, in C order."""
     ref, est = _check_pair(ref, est)
-    to255 = reference_map(ref)
-    return to255(ref), to255(est)
+    lo, scale = reference_span(ref)
+    return _mapped(ref, lo, scale), _mapped(est, lo, scale)
 
 
-def _score_band(ref: np.ndarray, est: np.ndarray,
-                band: int) -> tuple[float, float, float, float]:
+def _score_band(ref: np.ndarray, est: np.ndarray, lo: float, scale: float,
+                band: int) -> tuple[tuple[float, float, float, float],
+                                    np.ndarray, np.ndarray]:
     """Everything a report takes from one band of a checked pair.
 
-    Returns the band's squared-error sum, its reference sum, its SSIM and its
-    UIQI (nan when no UIQI window is usable). The band is copied contiguous
-    unless it already is, so both sums see the same contiguous band on any
-    layout and give the same bits.
+    Both bands are mapped into fresh C-order arrays, so the sums see the
+    same contiguous band on any layout and give the same bits. Returns the
+    band's squared-error sum, its reference sum, its SSIM and its UIQI (nan
+    when no UIQI window is usable), then the two mapped bands.
     """
-    x = np.ascontiguousarray(ref[:, :, band])
-    y = np.ascontiguousarray(est[:, :, band])
+    x = _mapped(ref[:, :, band], lo, scale)
+    y = _mapped(est[:, :, band], lo, scale)
     d = x - y
     sq_err = np.vdot(d, d)
     ref_sum = x.sum()
     maps = np.stack((x, y, x * x + y * y, x * y))
     return (sq_err, ref_sum, _windowed_index(maps, _SSIM_TAPS, _C1, _C2),
-            _windowed_index(maps, _UIQI_TAPS, 0.0, 0.0))
+            _windowed_index(maps, _UIQI_TAPS, 0.0, 0.0)), x, y
 
 
 def _moments(maps: np.ndarray, taps: np.ndarray) -> tuple:
@@ -187,21 +176,36 @@ class _BandScores(NamedTuple):
     ref_sum: np.ndarray  # sum of the reference per band
     ssim: np.ndarray
     uiqi: np.ndarray
+    xx: np.ndarray       # per-pixel spectral dots x·x, e·e and x·e
+    ee: np.ndarray
+    xe: np.ndarray
+    equal: np.ndarray    # pixels whose spectra are bit-equal
 
 
-def _walk(ref: np.ndarray, est: np.ndarray) -> _BandScores:
-    """Score every band of a checked pair, gathered in band order.
+def _walk(ref: np.ndarray, est: np.ndarray,
+          lo: float = 0.0, scale: float = 1.0) -> _BandScores:
+    """Score every band of a checked pair mapped by (v - lo) * scale.
 
-    Each band is scored whole by one worker, so the scores do not depend on
+    The identity map (lo 0, scale 1) is exact. Each band is scored whole by
+    one worker, and the walk takes the results in band order, adding each
+    mapped pair into SAM's per-pixel sums, so the scores do not depend on
     the number of workers, nor on whether the bands ran on the pool.
     """
-    score = partial(_score_band, ref, est)
+    score = partial(_score_band, ref, est, lo, scale)
     bands = range(ref.shape[2])
-    if ref.shape[0] * ref.shape[1] >= _POOL_MIN_PIXELS:
-        rows = list(_pool().map(score, bands))
-    else:
-        rows = list(map(score, bands))
-    return _BandScores(*np.array(rows, dtype=float).reshape(-1, 4).T)
+    pooled = ref.shape[0] * ref.shape[1] >= _POOL_MIN_PIXELS
+    plane = ref.shape[:2]
+    xx, ee, xe, prod = (np.zeros(plane) for _ in range(4))
+    equal = np.ones(plane, dtype=bool)
+    rows = []
+    for row, x, e in (_pool().map if pooled else map)(score, bands):
+        rows.append(row)
+        xx += np.multiply(x, x, out=prod)
+        ee += np.multiply(e, e, out=prod)
+        xe += np.multiply(x, e, out=prod)
+        equal &= x == e
+    return _BandScores(*np.array(rows, dtype=float).reshape(-1, 4).T,
+                       xx, ee, xe, equal)
 
 
 def _psnr_from(scores: _BandScores, pixels: int) -> np.ndarray:
@@ -218,6 +222,23 @@ def _ergas_from(scores: _BandScores, pixels: int, factor: float) -> float:
     if np.any(means == 0):
         raise ValueError("ergas undefined: a reference band has zero mean")
     return float(100.0 / factor * np.sqrt(np.mean((rmse / means) ** 2)))
+
+
+def _sam_from(scores: _BandScores) -> tuple[float, int]:
+    """SAM and its count of skipped zero spectra."""
+    nx, ne = np.sqrt(scores.xx), np.sqrt(scores.ee)
+    keep = (nx > 0) & (ne > 0)
+    skipped = int(np.size(nx) - np.count_nonzero(keep))
+    if not np.any(keep):
+        raise ValueError("sam undefined: every spectral vector is zero")
+    if scores.sq_err.size < 2:
+        # one-element spectra are colinear or opposite: a sign test, not an angle
+        return np.nan, skipped
+    cosang = scores.xe[keep] / (nx[keep] * ne[keep])
+    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    # arccos near 1 cannot resolve the zero angle of bit-equal spectra
+    angles[scores.equal[keep]] = 0.0
+    return float(np.mean(angles)), skipped
 
 
 def _check_factor(factor: float) -> None:
@@ -251,40 +272,12 @@ def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
     return _ergas_from(_walk(ref, est), ref.shape[0] * ref.shape[1], factor)
 
 
-def _sam_and_skipped(ref: np.ndarray, est: np.ndarray) -> tuple[float, int]:
-    """SAM and its count of skipped zero spectra, on a checked pair."""
-    # per-pixel dots accumulated band by band, in band order: each band is a
-    # view, nothing cube-sized is copied, and every layout sums in one order
-    plane = ref.shape[:2]
-    aa, bb, ab, prod = (np.zeros(plane) for _ in range(4))
-    equal = np.ones(plane, dtype=bool)
-    for b in range(ref.shape[2]):
-        r, e = ref[:, :, b], est[:, :, b]
-        aa += np.multiply(r, r, out=prod)
-        bb += np.multiply(e, e, out=prod)
-        ab += np.multiply(r, e, out=prod)
-        equal &= r == e
-    na, nb = np.sqrt(aa), np.sqrt(bb)
-    keep = (na > 0) & (nb > 0)
-    skipped = int(np.size(na) - np.count_nonzero(keep))
-    if not np.any(keep):
-        raise ValueError("sam undefined: every spectral vector is zero")
-    if ref.shape[2] < 2:
-        # one-element spectra are colinear or opposite: a sign test, not an angle
-        return np.nan, skipped
-    cosang = ab[keep] / (na[keep] * nb[keep])
-    angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    # arccos near 1 cannot resolve the zero angle of bit-equal spectra
-    angles[equal[keep]] = 0.0
-    return float(np.mean(angles)), skipped
-
-
 def sam(ref: np.ndarray, est: np.ndarray) -> float:
     """Mean spectral angle in degrees; zero-spectrum pixels are skipped.
 
     nan on cubes with fewer than two bands, where no angle is defined.
     """
-    return _sam_and_skipped(*_check_pair(ref, est))[0]
+    return _sam_from(_walk(*_check_pair(ref, est)))[0]
 
 
 def uiqi_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -325,15 +318,17 @@ class MetricsReport:
 
 
 def metrics_report(ref: np.ndarray, est: np.ndarray, factor: float) -> MetricsReport:
-    """All five indices plus per-band psnr/uiqi curves, on already scaled cubes.
+    """All five indices plus per-band psnr/uiqi curves, the cubes in their own units.
 
-    One band walk yields every per-band score, and the band averages derive
-    from it.
+    Each band is mapped onto the reference's span, [0, 255], as it is read,
+    and one band walk yields every score. A constant reference has no span
+    (ValueError).
     """
     ref, est = _check_pair(ref, est)
     _check_factor(factor)
-    sam_value, skipped = _sam_and_skipped(ref, est)
-    scores = _walk(ref, est)
+    scores = _walk(ref, est, *reference_span(ref))
+    sam_value, skipped = _sam_from(scores)
+    uiqi_value = _uiqi_from_bands(scores.uiqi)
     pixels = ref.shape[0] * ref.shape[1]
     psnr_bands = _psnr_from(scores, pixels)
     return MetricsReport(
@@ -341,7 +336,7 @@ def metrics_report(ref: np.ndarray, est: np.ndarray, factor: float) -> MetricsRe
         ssim=float(np.mean(scores.ssim)),
         ergas=_ergas_from(scores, pixels, factor),
         sam=sam_value,
-        uiqi=_uiqi_from_bands(scores.uiqi),
+        uiqi=uiqi_value,
         sam_skipped=skipped,
         psnr_per_band=tuple(float(v) for v in psnr_bands),
         uiqi_per_band=tuple(float(v) for v in scores.uiqi),

@@ -211,6 +211,9 @@ def test_add_noise_at_the_ends_of_the_float_range():
     # 10^-400 underflows to 0: no finite noise has that SNR
     with pytest.raises(ValueError, match="snr_db of -4000.0 dB"):
         add_noise(t, -4000.0)
+    # 10^-310 is subnormal, and sigma overflows
+    with pytest.raises(ValueError, match="SNR of -3100.0 dB puts the noise sigma"):
+        add_noise(t, -3100.0)
 
 
 def test_add_noise_determinism_and_zero_rejection():

@@ -26,7 +26,7 @@ from trfuse.harness import (ABLATION_VARIANTS, DataError, build_model,
                             load_inputs, run_ablate, run_fuse, run_metrics,
                             run_simulate, simulate_pair,
                             spectral_lift_baseline)
-from trfuse.metrics import metrics_report, rescale_pair
+from trfuse.metrics import metrics_report
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import SolverDivergenceError
 from trfuse.tensor import mode_n_product
@@ -190,10 +190,12 @@ def test_run_fuse_scores_with_few_cubes_live(tmp_path, monkeypatch):
     write_tnsr(tmp_path / "gt.tnsr", gt)
     cube_bytes = gt.nbytes
     del gt
-    live = []
+    live, cubes = [], []
 
     def report_at_entry(*args, **kwargs):
         live.append(tracemalloc.get_traced_memory()[0])
+        blocks = tracemalloc.take_snapshot().traces
+        cubes.append(sum(t.size >= cube_bytes for t in blocks))
         return metrics_report(*args, **kwargs)
 
     monkeypatch.setattr(trfuse.harness, "metrics_report", report_at_entry)
@@ -202,10 +204,10 @@ def test_run_fuse_scores_with_few_cubes_live(tmp_path, monkeypatch):
         run_fuse(_base_config(tmp_path / "gt.tnsr"), tmp_path / "fused")
     finally:
         tracemalloc.stop()
-    # the fused report, then the baseline's: the rescaled ground truth and the
-    # rescaled baseline, with the observations and the model beside them
-    assert len(live) == 2
-    assert live[1] < 5 * cube_bytes
+    # the fused report, then the baseline's: the ground truth and the scored
+    # cube, in their own units, with z and the model beside them
+    assert cubes == [2, 2]
+    assert max(live) < 4 * cube_bytes
 
 
 def test_run_fuse_without_ground_truth_skips_scoring(gt_file, tmp_path):
@@ -441,8 +443,7 @@ def test_run_metrics(tmp_path):
     write_tnsr(rp, ref)
     write_tnsr(ep, est)
     payload = run_metrics(rp, ep, 2, tmp_path / "out")
-    r255, e255 = rescale_pair(ref, est)
-    want = metrics_report(r255, e255, 2).scalars()
+    want = metrics_report(ref, est, 2).scalars()
     assert payload["metrics"] == want
     saved = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert saved["metrics"] == want
@@ -640,6 +641,60 @@ def test_cli_overflowing_snr_adds_no_noise(gt_file, tmp_path):
         for name in ("simulate/y.tnsr", "simulate/z.tnsr", "fuse/xhat.tnsr",
                      "fuse/per_band.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_noise_sigma_past_the_float_range_exit_3(gt_file, tmp_path, capsys):
+    # 10^-310 is a subnormal ratio: the SNR passes the config, sigma overflows
+    raw = {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+           "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}
+    for key in ("snr_y_db", "snr_z_db"):
+        cfg_path = tmp_path / f"{key}.json"
+        cfg_path.write_text(json.dumps({**raw, key: -3100.0}))
+        for command in ("simulate", "fuse"):
+            out = tmp_path / key / command
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"{key}: an SNR of -3100.0 dB puts the noise sigma" in err
+            assert not out.exists()
+
+
+def test_cli_constant_ground_truth_exit_3_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    # a constant reference has no span onto [0, 255], so it cannot be scored
+    write_tnsr(tmp_path / "gt.tnsr", np.full((16, 16, 8), 3.0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(tmp_path / "gt.tnsr"), "factor": 2,
+         "msi_bands": 4, "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a constant ground truth")
+
+    for name in ("solve", "initial_factors"):
+        monkeypatch.setattr(trfuse.harness, name, no_solve)
+    for command in ("fuse", "ablate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "reference tensor is constant" in capsys.readouterr().err
+        assert not (out / "xhat.tnsr").exists()
+        assert not out.exists()
+
+
+def test_cli_metrics_reproduces_the_fuse_report(gt_file, tmp_path):
+    # both entry points score through one path, so the scalars are bit-equal
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+         "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 2}))
+    fused = tmp_path / "fused"
+    assert main(["fuse", "--config", str(cfg_path), "--out", str(fused)]) == 0
+    assert main(["metrics", "--ref", str(gt_file), "--est",
+                 str(fused / "xhat.tnsr"), "--factor", "2",
+                 "--out", str(tmp_path / "scored")]) == 0
+    want = json.loads((fused / "metrics.json").read_text())["metrics"]
+    got = json.loads((tmp_path / "scored" / "metrics.json").read_text())["metrics"]
+    assert got == want
 
 
 def test_cli_overflowing_observations_exit_3(tmp_path, capsys):

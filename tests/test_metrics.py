@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import trfuse.metrics
 from helpers import einsum_sam
-from trfuse.metrics import (MetricsReport, _sam_and_skipped, ergas,
-                            metrics_report, psnr, psnr_per_band, reference_map,
-                            rescale_pair, sam, ssim, uiqi, uiqi_per_band)
+from trfuse.metrics import (MetricsReport, _sam_from, _walk, ergas,
+                            metrics_report, psnr, psnr_per_band, rescale_pair,
+                            sam, ssim, uiqi, uiqi_per_band)
 
 PEAK = 255.0
 
@@ -292,7 +292,7 @@ def test_sam_matches_the_per_spectrum_oracle(dims, zeros, equal, seed):
     # a pair with no spectrum nonzero in both cubes has no SAM
     assume(np.any(np.any(ref, axis=2) & np.any(est, axis=2)))
     want, skipped = einsum_sam(ref, est)
-    got, got_skipped = _sam_and_skipped(ref, est)
+    got, got_skipped = _sam_from(_walk(ref, est))
     assert got_skipped == skipped
     if np.isnan(want):
         assert np.isnan(got)
@@ -310,34 +310,48 @@ def test_sam_is_nan_on_a_single_band():
     assert np.isnan(sam(ref, est))
     report = metrics_report(ref, est, factor=2.0)
     assert np.isnan(report.sam) and np.isnan(report.scalars()["sam"])
-    assert report.sam_skipped == 0
+    # the report maps the reference's minimum to 0: one zero spectrum
+    assert report.sam_skipped == 1
     assert np.isfinite(report.psnr)
+
+
+def _band_major(cube):
+    # the layout spectral_lift_baseline returns: each band contiguous
+    return np.ascontiguousarray(np.moveaxis(cube, 2, 0)).transpose(1, 2, 0)
 
 
 def test_rescale_pair_affine_map():
     rng = np.random.default_rng(16)
-    # 19 rows: two full slabs of the row-slab walk and a partial one
     ref = rng.uniform(-3.0, 5.0, size=(19, 11, 3))
     est = rng.uniform(-4.0, 6.0, size=(19, 11, 3))
-    ref2, est2 = rescale_pair(ref, est)
+    ref2, est2 = rescale_pair(ref, _band_major(est))
     assert abs(ref2.min() - 0.0) < 1e-12
     assert abs(ref2.max() - PEAK) < 1e-12
     scale = PEAK / (ref.max() - ref.min())
-    want = (est - ref.min()) * scale
-    np.testing.assert_array_equal(est2, want)
-    # in place on a band-major cube, as the baseline is rescaled
-    band_major = np.ascontiguousarray(np.moveaxis(est, 2, 0)).transpose(1, 2, 0)
-    assert reference_map(ref)(band_major, out=band_major) is band_major
-    np.testing.assert_array_equal(band_major, want)
+    np.testing.assert_array_equal(est2, (est - ref.min()) * scale)
+    assert ref2.flags.c_contiguous and est2.flags.c_contiguous
     with pytest.raises(ValueError, match="reference tensor is constant"):
         rescale_pair(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
-def test_rescale_pair_writes_band_major_cubes():
-    ref, est = _pair((12, 9, 4), 18)
-    for cube in rescale_pair(ref, est):
-        assert cube.shape == (12, 9, 4)
-        assert all(cube[:, :, b].flags.c_contiguous for b in range(4))
+def test_report_does_not_depend_on_the_layout():
+    rng = np.random.default_rng(18)
+    # own units, a non-square band, one band narrower than SSIM's window
+    for dims in ((12, 9, 4), (40, 35, 3)):
+        gt = rng.uniform(-2.0, 7.0, size=dims)
+        est = gt + rng.normal(0.0, 0.3, size=dims)
+        report = metrics_report(gt, est, factor=2.0)
+        assert metrics_report(gt, _band_major(est), factor=2.0) == report
+        assert metrics_report(_band_major(gt), est, factor=2.0) == report
+        # mapping band by band gives the bits of the mapped cubes
+        ref255, est255 = rescale_pair(gt, est)
+        assert report.psnr == psnr(ref255, est255)
+        assert report.ssim == ssim(ref255, est255)
+        assert report.ergas == ergas(ref255, est255, 2.0)
+        assert report.sam == sam(ref255, est255)
+        assert report.uiqi == uiqi(ref255, est255)
+        assert report.psnr_per_band == tuple(psnr_per_band(ref255, est255))
+        assert report.uiqi_per_band == tuple(uiqi_per_band(ref255, est255))
 
 
 # one band, bands narrower than SSIM's 11 and UIQI's 32 window, non-square bands
@@ -349,12 +363,20 @@ def test_indices_do_not_depend_on_the_layout(dims, seed):
     rng = np.random.default_rng(seed)
     ref = rng.uniform(0.0, 1.0, size=dims)
     est = ref + rng.normal(0.0, 0.05, size=dims)
-    ref255, est255 = rescale_pair(ref, est)
-    ref_c, est_c = np.ascontiguousarray(ref255), np.ascontiguousarray(est255)
+    ref_c, est_c = rescale_pair(ref, est)
+    ref_b, est_b = _band_major(ref_c), _band_major(est_c)
     # every index sums in one order on any layout, so all five are bit-equal
     for index in (psnr_per_band, uiqi_per_band, ssim, sam):
-        np.testing.assert_array_equal(index(ref255, est255), index(ref_c, est_c))
-    assert ergas(ref255, est255, 2.0) == ergas(ref_c, est_c, 2.0)
+        np.testing.assert_array_equal(index(ref_b, est_b), index(ref_c, est_c))
+    # a one-pixel band at the reference's minimum has zero mean: no ergas
+    assert _outcome(ergas, ref_b, est_b, 2.0) == _outcome(ergas, ref_c, est_c, 2.0)
+
+
+def _outcome(index, *args):
+    try:
+        return index(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_shape_validation():
@@ -379,11 +401,12 @@ def test_scores_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_metrics_report_wires_everything_together():
-    ref, est = _pair((36, 33, 3), 17)
-    report = metrics_report(ref, est, factor=4.0)
+    gt, est_gt = _pair((36, 33, 3), 17)
+    report = metrics_report(gt, est_gt, factor=4.0)
     assert isinstance(report, MetricsReport)
     assert np.all(np.isfinite(report.psnr_per_band))
     # one scoring pass must reproduce the standalone indices bit for bit
+    ref, est = rescale_pair(gt, est_gt)
     assert report.psnr == psnr(ref, est)
     assert report.ssim == ssim(ref, est)
     assert report.ergas == ergas(ref, est, 4.0)
@@ -394,9 +417,13 @@ def test_metrics_report_wires_everything_together():
     assert report.sam_skipped == 0
     assert len(report.psnr_per_band) == 3
     assert len(report.uiqi_per_band) == 3
-    flat = np.full((10, 10, 1), 7.0)
+    # every band flat, the reference not constant: no UIQI window is usable
+    flat = np.full((10, 10, 2), 7.0)
+    flat[:, :, 1] = 9.0
     with pytest.raises(ValueError, match="uiqi undefined"):
         metrics_report(flat, flat.copy(), factor=4.0)
+    with pytest.raises(ValueError, match="reference tensor is constant"):
+        metrics_report(np.full((10, 10, 2), 7.0), flat, factor=4.0)
     scalars = report.scalars()
     assert set(scalars) == {"psnr", "ssim", "ergas", "sam", "uiqi",
                             "sam_skipped"}
