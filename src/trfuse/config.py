@@ -5,8 +5,10 @@ field of exactly one dataclass: the solver settings are the fields of
 ``SolverConfig`` (held as ``ExperimentConfig.solver``), the inputs,
 degradation, noise and its seed those of ``ExperimentConfig``.
 ``lambda`` is the one key spelled unlike its field (``lam``). Unknown keys
-are rejected so typos fail loudly. Exactly one of ``ground_truth`` or the
-pair ``y``/``z`` must be present.
+are rejected so typos fail loudly. The parser checks only each key's JSON
+type; the rules on the values, such as that exactly one of ``ground_truth``
+or the pair ``y``/``z`` is present, belong to the dataclass owning the
+field, which holds them for a config built in Python too.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ class ExperimentConfig:
             # raises where no finite noise has the SNR
             if (snr := getattr(self, key)) is not None:
                 snr_power_ratio(snr, key)
+        if (self.y is None) != (self.z is None):
+            raise ValueError("y and z must be given together")
+        if (self.ground_truth is None) == (self.y is None):
+            raise ValueError("exactly one of ground_truth or the y/z pair is required")
+        if self.factor < 1 or self.kernel_size < 1 or self.msi_bands < 1:
+            raise ValueError("factor, kernel_size, and msi_bands must be positive")
+        if self.kernel_size % 2 == 0:
+            raise ValueError("kernel_size must be odd")
+        if self.band_groups is not None and self.spectral_response is not None:
+            raise ValueError("band_groups and spectral_response are mutually exclusive")
 
     def as_dict(self) -> dict:
         """The flat JSON object this config parses from."""
@@ -130,22 +142,9 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must not be null")
         (solver if in_solver else own)[name] = val
     try:
-        cfg = ExperimentConfig(**own, solver=SolverConfig(**solver))
+        return ExperimentConfig(**own, solver=SolverConfig(**solver))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    has_gt = cfg.ground_truth is not None
-    has_pair = cfg.y is not None and cfg.z is not None
-    if (cfg.y is None) != (cfg.z is None):
-        raise ConfigError("y and z must be given together")
-    if has_gt == has_pair:
-        raise ConfigError("exactly one of ground_truth or the y/z pair is required")
-    if cfg.factor < 1 or cfg.kernel_size < 1 or cfg.msi_bands < 1:
-        raise ConfigError("factor, kernel_size, and msi_bands must be positive")
-    if cfg.kernel_size % 2 == 0:
-        raise ConfigError("kernel_size must be odd")
-    if cfg.band_groups is not None and cfg.spectral_response is not None:
-        raise ConfigError("band_groups and spectral_response are mutually exclusive")
-    return cfg
 
 
 def load_experiment_config(path) -> ExperimentConfig:

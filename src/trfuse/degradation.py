@@ -140,7 +140,7 @@ class DegradationModel:
 
     @classmethod
     def build(cls, dims: tuple[int, int, int], factor: int,
-              kernel_size: int = 7, sigma: float = 2.0,
+              kernel_size: int, sigma: float,
               band_groups: tuple[tuple[int, ...], ...] | None = None,
               out_bands: int | None = None,
               response: np.ndarray | None = None) -> "DegradationModel":

@@ -47,9 +47,7 @@ def build_model(dims: tuple[int, int, int], cfg: ExperimentConfig) -> Degradatio
     try:
         return DegradationModel.build(
             dims, cfg.factor, kernel_size=cfg.kernel_size, sigma=cfg.sigma,
-            band_groups=cfg.band_groups,
-            out_bands=None if cfg.band_groups is not None else cfg.msi_bands,
-            response=response)
+            band_groups=cfg.band_groups, out_bands=cfg.msi_bands, response=response)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 

@@ -88,16 +88,24 @@ def _score_band(ref: np.ndarray, est: np.ndarray, lo: float, scale: float,
     Both bands are mapped into fresh C-order arrays, so the sums see the
     same contiguous band on any layout and give the same bits. Returns the
     band's squared-error sum, its reference sum, its SSIM and its UIQI (nan
-    when no UIQI window is usable), then the two mapped bands.
+    when no UIQI window is usable), then the two mapped bands. A band whose
+    arithmetic overflows the float range has no scores (ValueError).
     """
-    x = _mapped(ref[:, :, band], lo, scale)
-    y = _mapped(est[:, :, band], lo, scale)
-    d = x - y
-    sq_err = np.vdot(d, d)
-    ref_sum = x.sum()
-    maps = np.stack((x, y, x * x + y * y, x * y))
-    return (sq_err, ref_sum, _windowed_index(maps, _SSIM_TAPS, _C1, _C2),
-            _windowed_index(maps, _UIQI_TAPS, 0.0, 0.0)), x, y
+    try:
+        with np.errstate(over="raise"):
+            x = _mapped(ref[:, :, band], lo, scale)
+            y = _mapped(est[:, :, band], lo, scale)
+            d = x - y
+            sq_err = np.vdot(d, d)  # a BLAS sum, which raises nothing itself
+            if np.isinf(sq_err):
+                raise FloatingPointError("overflow in the squared error")
+            ref_sum = x.sum()
+            maps = np.stack((x, y, x * x + y * y, x * y))
+            scores = (sq_err, ref_sum, _windowed_index(maps, _SSIM_TAPS, _C1, _C2),
+                      _windowed_index(maps, _UIQI_TAPS, 0.0, 0.0))
+    except FloatingPointError as exc:
+        raise ValueError(f"band {band} cannot be scored: {exc}") from None
+    return scores, x, y
 
 
 def _moments(maps: np.ndarray, taps: np.ndarray) -> tuple:

@@ -155,15 +155,16 @@ def _als_polish(t: np.ndarray, f: TRFactors) -> TRFactors:
 
 
 def _sequential_svd(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
-    """The two sequential SVD splits of ``t`` into ring cores.
+    """The two sequential SVD splits of ``t`` into ring cores of ``ranks``.
 
-    The first split needs only the leading left singular vectors u of the
-    mode-0 matricization m, and m's right factor is never formed: with
-    mᵀ = QR, m = Rᵀ Qᵀ shares its left singular vectors with Rᵀ, at most
-    I1 x I1, and the split keeps uᵀ m. On a wide m these are the two steps
-    LAPACK's ``dgesdd`` takes (an LQ factorization, then the SVD of L), with
-    the same Householder reflectors, so u carries the signs a full SVD of m
-    gives it (README, "Notes").
+    The ranks must be ones the extents carry, as :func:`tr_svd_init` clamps
+    them; none is clamped here. The first split needs only the leading left
+    singular vectors u of the mode-0 matricization m, and m's right factor is
+    never formed: with mᵀ = QR, m = Rᵀ Qᵀ shares its left singular vectors
+    with Rᵀ, at most I1 x I1, and the split keeps uᵀ m. On a wide m these are
+    the two steps LAPACK's ``dgesdd`` takes (an LQ factorization, then the
+    SVD of L), with the same Householder reflectors, so u carries the signs a
+    full SVD of m gives it (README, "Notes").
 
     The full-size factors die on return, so they are not held through
     the polish that follows.
@@ -183,27 +184,37 @@ def _sequential_svd(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
     z4 = z.reshape(r2, r1, i3, i2)
     m2 = z4.transpose(3, 0, 1, 2).reshape(i2 * r2, r1 * i3)
 
-    r3c = min(r3, m2.shape[0], m2.shape[1])
-    if r3c < r3:
-        warnings.warn(f"ring ranks clamped to ({r1}, {r2}, {r3c}) for extents {t.shape}")
     u2, s2, v2t = np.linalg.svd(m2, full_matrices=False)
-    core2 = u2[:, :r3c].reshape(i2, r2, r3c).transpose(1, 0, 2)
-    w = s2[:r3c, None] * v2t[:r3c]
-    core3 = w.reshape(r3c, r1, i3).transpose(0, 2, 1)
+    core2 = u2[:, :r3].reshape(i2, r2, r3).transpose(1, 0, 2)
+    w = s2[:r3, None] * v2t[:r3]
+    core3 = w.reshape(r3, r1, i3).transpose(0, 2, 1)
 
     return TRFactors((np.ascontiguousarray(core1),
                       np.ascontiguousarray(core2),
                       np.ascontiguousarray(core3)))
 
 
+def _pad_core(core: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """``core`` zero-padded in its two rank modes to ``shape``."""
+    if core.shape == shape:
+        return core
+    out = np.zeros(shape)
+    out[:core.shape[0], :, :core.shape[2]] = core
+    return out
+
+
 def tr_svd_init(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
-    """Sequential SVD initialization of ring cores.
+    """Sequential SVD initialization of ring cores at the requested ranks.
 
     Steps: matricize ``t`` along mode 0 (columns in natural order, i2 fastest),
     take a rank R1*R2 truncated SVD, split U's column index as (r1 fastest, r2)
     into core 1, then reshape S*Vt to (R2*I2) x (I3*R1) and split again with a
-    rank R3 truncated SVD into cores 2 and 3. Requested ranks that exceed what
-    the matricizations support are clamped (with a warning).
+    rank R3 truncated SVD into cores 2 and 3.
+
+    Ranks the matricizations cannot carry, R1·R2 past min(I1, I2·I3) or R3
+    past min(I2·R2, R1·I3), are clamped once, up front, with one warning.
+    The splits and the polish run at the clamped ranks, and the cores come
+    back zero-padded to the requested ones.
 
     The sequential pass alone cannot recover an exactly low-rank tensor: the
     first SVD mixes the two ring indices sharing its rank bound, which breaks
@@ -214,14 +225,14 @@ def tr_svd_init(t: np.ndarray, ranks: tuple[int, int, int]) -> TRFactors:
     t = np.asarray(t, dtype=float)
     if t.ndim != 3:
         raise ValueError("tr_svd_init expects a 3-way tensor")
-    r1, r2, r3 = _validate_ranks(ranks)
+    ranks = r1, r2, r3 = _validate_ranks(ranks)
     i1, i2, i3 = t.shape
-
     kmax = min(i1, i2 * i3)
     if r1 * r2 > kmax:
-        if r1 > kmax:
-            r1, r2 = kmax, 1
-        else:
-            r2 = max(1, kmax // r1)
-        warnings.warn(f"ring ranks clamped to ({r1}, {r2}, {r3}) for extents {t.shape}")
-    return _als_polish(t, _sequential_svd(t, (r1, r2, r3)))
+        r1, r2 = (kmax, 1) if r1 > kmax else (r1, kmax // r1)
+    carried = (r1, r2, min(r3, i2 * r2, r1 * i3))
+    if carried != ranks:
+        warnings.warn(f"ring ranks clamped to {carried} for extents {t.shape}")
+    f = _als_polish(t, _sequential_svd(t, carried))
+    return TRFactors(tuple(_pad_core(core, (ranks[n], t.shape[n], ranks[(n + 1) % 3]))
+                           for n, core in enumerate(f.cores)))

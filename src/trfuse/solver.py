@@ -14,9 +14,11 @@ are applied as row stencils written into preallocated arrays; no difference
 matrix is formed.
 
 The outer loop is a proximal alternating minimization over the cores with
-anchor weight eta. Each block runs a small ADMM whose auxiliaries and
-multipliers are re-zeroed at block entry; the quadratic step is a
-generalized Sylvester system
+anchor weight eta, started from :func:`initial_factors`: cores 1 and 2 of
+z's sequential-SVD ring and core 3 of y's, each at the configured ranks
+(:func:`trfuse.ring.tr_svd_init`). Each block runs a small ADMM whose
+auxiliaries and multipliers are re-zeroed at block entry; the quadratic
+step is a generalized Sylvester system
 
     a1 G b1 + G e + mu * DᵀD G = R,    e = scale2 * b2 + (eta + mu) I,
 
@@ -58,7 +60,7 @@ import numpy as np
 
 from .degradation import DegradationModel
 from .prox import ltnn_prox, ltnn_value, soft_shrink_weighted, update_weights
-from .ring import TRFactors, compose, inner, merge_cores, tr_svd_init
+from .ring import TRFactors, _validate_ranks, compose, inner, merge_cores, tr_svd_init
 from .tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
@@ -91,9 +93,7 @@ class SolverConfig:
     beta_scales: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if len(self.ranks) != 3 or any(r < 1 for r in self.ranks):
-            raise ValueError(f"ranks must be three positive integers, got {self.ranks}")
+        object.__setattr__(self, "ranks", _validate_ranks(self.ranks))
         for name in ("lam", "eta", "mu", "eps_log", "varsigma",
                      "inner_tol", "cg_tol", "stop_tol"):
             if getattr(self, name) <= 0:
@@ -159,7 +159,7 @@ def _diff_t(head: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def cg_solve(apply, rhs: np.ndarray, tol: float = 1e-6, max_iter: int = 300,
+def cg_solve(apply, rhs: np.ndarray, tol: float, max_iter: int,
              x0: np.ndarray | None = None, *, precondition
              ) -> tuple[np.ndarray, int, float]:
     """Preconditioned conjugate gradients on matrices under the trace inner product.
@@ -394,30 +394,12 @@ def objective(f: TRFactors, system: BlockSystem, data_sq: float,
     return float(val)
 
 
-def _pad_core(core: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    if core.shape == shape:
-        return core
-    if core.shape[1] != shape[1] or core.shape[0] > shape[0] or core.shape[2] > shape[2]:
-        raise ValueError(f"cannot pad core {core.shape} to {shape}")
-    out = np.zeros(shape)
-    out[:core.shape[0], :, :core.shape[2]] = core
-    return out
-
-
 def initial_factors(y: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> TRFactors:
-    """Starting cores: sequential-SVD cores 1 and 2 from z, core 3 from y.
-
-    Clamped decompositions are zero-padded back to the requested ranks so
-    adjacent ranks always agree.
-    """
-    r1, r2, r3 = cfg.ranks
-    big_w, big_h, _ = z.shape
-    bands = y.shape[2]
+    """Starting cores at the configured ranks: the sequential-SVD ring's
+    cores 1 and 2 from z and core 3 from y."""
     fz = tr_svd_init(z, cfg.ranks)
     fy = tr_svd_init(y, cfg.ranks)
-    return TRFactors((_pad_core(fz.cores[0], (r1, big_w, r2)),
-                      _pad_core(fz.cores[1], (r2, big_h, r3)),
-                      _pad_core(fy.cores[2], (r3, bands, r1))))
+    return TRFactors((*fz.cores[:2], fy.cores[2]))
 
 
 def check_observations(y: np.ndarray, z: np.ndarray, model: DegradationModel

@@ -119,7 +119,7 @@ def full_spectrum_ltnn_prox(a, t, eps):
     return np.fft.ifft(rebuilt.transpose(1, 0, 2), axis=1).real
 
 
-def plain_cg(apply, rhs, tol=1e-6, max_iter=300, x0=None):
+def plain_cg(apply, rhs, tol, max_iter, x0=None):
     """Unpreconditioned conjugate gradients, as the solver ran them before it
     took a preconditioner; returns (x, iterations, relative residual)."""
     rhs = np.asarray(rhs, dtype=float)

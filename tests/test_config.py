@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -110,6 +110,57 @@ def test_domain_validation():
                                          spectral_response="resp.tnsr"))
 
 
+# one case per rule ExperimentConfig checks on its own fields, in the order
+# it checks them: the fields set and the message
+FIELD_RULES = (
+    ({"ground_truth": "gt.tnsr", "seed": -1}, "seed must be nonnegative"),
+    ({"ground_truth": "gt.tnsr", "snr_z_db": -4000.0},
+     "snr_z_db of -4000.0 dB is below the float range: "
+     "10^(snr_z_db/10) underflows to 0"),
+    ({"y": "y.tnsr"}, "y and z must be given together"),
+    ({"z": "z.tnsr"}, "y and z must be given together"),
+    ({}, "exactly one of ground_truth or the y/z pair is required"),
+    ({"ground_truth": "gt.tnsr", "y": "y.tnsr", "z": "z.tnsr"},
+     "exactly one of ground_truth or the y/z pair is required"),
+    ({"ground_truth": "gt.tnsr", "factor": 0},
+     "factor, kernel_size, and msi_bands must be positive"),
+    ({"y": "y.tnsr", "z": "z.tnsr", "kernel_size": -1},
+     "factor, kernel_size, and msi_bands must be positive"),
+    ({"ground_truth": "gt.tnsr", "msi_bands": 0},
+     "factor, kernel_size, and msi_bands must be positive"),
+    ({"ground_truth": "gt.tnsr", "kernel_size": 6}, "kernel_size must be odd"),
+    ({"ground_truth": "gt.tnsr", "band_groups": ((0, 1),),
+      "spectral_response": "resp.tnsr"},
+     "band_groups and spectral_response are mutually exclusive"),
+)
+
+
+@pytest.mark.parametrize("given, message", FIELD_RULES)
+def test_field_rules_hold_however_the_config_is_made(given, message):
+    # built in Python, changed by replace, or parsed from JSON: one message
+    with pytest.raises(ValueError) as built:
+        ExperimentConfig(**given)
+    assert str(built.value) == message
+    base = ExperimentConfig(ground_truth="gt.tnsr")
+    with pytest.raises(ValueError) as replaced:
+        replace(base, **{"ground_truth": None, **given})
+    assert str(replaced.value) == message
+    raw = {k: [list(g) for g in v] if k == "band_groups" else v
+           for k, v in given.items()}
+    with pytest.raises(ConfigError) as parsed:
+        parse_experiment_config(raw)
+    assert str(parsed.value) == message
+
+
+def test_field_rules_report_the_first_rule_broken():
+    # every rule from positivity on is broken; the first is reported
+    with pytest.raises(ValueError, match="must be positive"):
+        ExperimentConfig(ground_truth="gt.tnsr", factor=0, kernel_size=6,
+                         band_groups=((0,),), spectral_response="resp.tnsr")
+    with pytest.raises(ValueError, match="given together"):
+        ExperimentConfig(ground_truth="gt.tnsr", y="y.tnsr", factor=0)
+
+
 def test_load_from_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_minimal(factor=2)))
@@ -131,8 +182,9 @@ def test_with_seed():
     assert with_seed(cfg, None) is cfg
     assert with_seed(cfg, 9).seed == 9
     assert cfg.seed == 5  # original untouched
-    with pytest.raises(ConfigError, match="seed"):
+    with pytest.raises(ConfigError, match="seed") as err:
         with_seed(cfg, -1)
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_lowering_defaults():
@@ -176,9 +228,19 @@ def test_config_is_frozen():
     assert isinstance(cfg, ExperimentConfig)
 
 
+def _field_defaults() -> dict:
+    """Each JSON key's dataclass field default, in the form ``as_dict`` writes."""
+    out = {}
+    for key, (in_solver, name, _, _) in _KEYS.items():
+        [f] = [f for f in fields(SolverConfig if in_solver else ExperimentConfig)
+               if f.name == name]
+        out[key] = list(f.default) if isinstance(f.default, tuple) else f.default
+    return out
+
+
 def test_json_schema_is_pinned():
     assert len(EXPERIMENT_KEYS) + len(SOLVER_KEYS) == 26
-    default = ExperimentConfig().as_dict()
+    default = _field_defaults()
     assert set(default) == {*EXPERIMENT_KEYS, *SOLVER_KEYS}
     # every key away from its default, split over the mutually exclusive
     # input sources and spectral operators
@@ -224,3 +286,36 @@ def test_readme_configuration_matches_parser_keys():
     assert documented <= set(_KEYS), f"not parser keys: {sorted(documented - set(_KEYS))}"
     mentioned = set(re.findall(r"`([^`]+)`", section))
     assert set(_KEYS) <= mentioned, f"undocumented keys: {sorted(set(_KEYS) - mentioned)}"
+
+
+def _top_level_items(cell: str) -> list[str]:
+    """``cell`` split on the commas outside brackets."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(cell):
+        depth += {"[": 1, "]": -1}.get(ch, 0)
+        if ch == "," and depth == 0:
+            items.append(cell[start:i])
+            start = i + 1
+    return [item.strip() for item in items + [cell[start:]]]
+
+
+def test_readme_configuration_defaults_match_the_fields():
+    # the README table restates field defaults; each cell parses as JSON, and
+    # a row of several keys lists one value per key or one for all of them
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    defaults = _field_defaults()
+    checked = {}
+    for line in table.strip().splitlines()[1:]:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        keys = re.findall(r"`([^`]+)`", cells[0])
+        values = _top_level_items(cells[1])
+        if len(values) == 1:
+            values *= len(keys)  # one default shared by the row's keys
+        assert len(keys) == len(values), line
+        for key, value in zip(keys, values):
+            checked[key] = json.loads(value)
+    assert checked, "README Configuration has no default column"
+    wrong = {k: (v, defaults[k]) for k, v in checked.items() if v != defaults[k]}
+    assert not wrong, f"README default != field default: {wrong}"

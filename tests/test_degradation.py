@@ -161,9 +161,11 @@ def test_degradation_commutes_with_ring_structure():
 
 def test_model_build_validation():
     with pytest.raises(ValueError):
-        DegradationModel.build((8, 8, 6), factor=3, out_bands=3)  # 8 % 3
+        DegradationModel.build((8, 8, 6), factor=3, kernel_size=7, sigma=2.0,
+                               out_bands=3)  # 8 % 3
     with pytest.raises(ValueError):
-        DegradationModel.build((8, 8, 6), factor=2)  # no spectral spec
+        DegradationModel.build((8, 8, 6), factor=2, kernel_size=7,
+                               sigma=2.0)  # no spectral spec
     m = DegradationModel.build((8, 8, 6), factor=2, kernel_size=5, sigma=1.0,
                                response=np.ones((2, 6)))
     assert m.band_groups is None

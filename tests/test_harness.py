@@ -714,6 +714,29 @@ def test_cli_overflowing_observations_exit_3(tmp_path, capsys):
         assert not (tmp_path / command).exists()
 
 
+def test_cli_overflowing_scores_exit_3(gt_file, tmp_path, capsys):
+    # at -3000 dB the noise, and so the fused cube, is near the float range:
+    # the solve ends, but scoring a band overflows, which is a data error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+         "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1,
+         "snr_y_db": -3000.0}))
+    for command in ("fuse", "ablate"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / command)])
+        assert code == 3
+        assert "band 0 cannot be scored: overflow" in capsys.readouterr().err
+    # fuse wrote what precedes scoring; ablate writes its table last
+    assert sorted(p.name for p in (tmp_path / "fuse").iterdir()) == [
+        "convergence.csv", "error_tensor.tnsr", "xhat.tnsr"]
+    assert not (tmp_path / "ablate").exists()
+    assert main(["metrics", "--ref", str(gt_file), "--est",
+                 str(tmp_path / "fuse" / "xhat.tnsr"), "--factor", "2"]) == 3
+    assert "cannot be scored" in capsys.readouterr().err
+
+
 def test_cli_divergence_exit_4(tmp_path, capsys):
     # all-zero observations collapse the estimate, which the solver reports
     write_tnsr(tmp_path / "y.tnsr", np.zeros((4, 4, 8)))

@@ -400,6 +400,18 @@ def test_scores_do_not_depend_on_the_worker_count(monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("shape", [(16, 17, 3), (192, 193, 3)])
+def test_a_band_whose_scores_overflow_is_an_error(shape):
+    # in the calling thread and on the pool: the band's index, not inf or 0
+    ref, est = _pair(shape, 29)
+    est[:, :, 1] *= 1e160
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="band 1 cannot be scored: overflow"):
+        metrics_report(ref, est, factor=2.0)
+    with pytest.raises(ValueError, match="band 1 cannot be scored"):
+        psnr(ref, est)
+
+
 def test_metrics_report_wires_everything_together():
     gt, est_gt = _pair((36, 33, 3), 17)
     report = metrics_report(gt, est_gt, factor=4.0)

@@ -226,6 +226,16 @@ def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(r), n
 
 
+def _carried(dims, ranks):
+    """The clamping rule, written out: R1·R2 at most min(I1, I2·I3), then R3
+    at most both extents of the second split."""
+    (i1, i2, i3), (r1, r2, r3) = dims, ranks
+    kmax = min(i1, i2 * i3)
+    if r1 * r2 > kmax:
+        r1, r2 = (kmax, 1) if r1 > kmax else (r1, max(1, kmax // r1))
+    return r1, r2, min(r3, i2 * r2, r1 * i3)
+
+
 @st.composite
 def first_splits(draw):
     """A cube whose mode-0 matricization is wide, square or tall, random or of
@@ -250,10 +260,7 @@ def first_splits(draw):
             for n in range(3))))
     else:
         t = rng.standard_normal(dims)
-    r1, r2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    kmax = min(i1, cols)
-    if r1 * r2 > kmax:
-        r1, r2 = (kmax, 1) if r1 > kmax else (r1, max(1, kmax // r1))
+    r1, r2, _ = _carried(dims, (draw(st.integers(1, 4)), draw(st.integers(1, 4)), 1))
     return t, r1, r2
 
 
@@ -265,9 +272,7 @@ def test_first_split_is_the_rank_k_projection(case):
     k = r1 * r2
     # a third rank as large as the second split allows makes that split
     # exact, so cores 2 and 3 multiply back to z and the ring is core 1 × z
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        f = _sequential_svd(t, (r1, r2, i2 * r2 * r1 * i3))
+    f = _sequential_svd(t, (r1, r2, min(i2 * r2, r1 * i3)))
     g1 = unfold(f.cores[0], 1)
     assert np.linalg.norm(g1.T @ g1 - np.eye(k)) <= 1e-12
     m = unfold(t, 0)
@@ -282,18 +287,41 @@ def test_first_split_is_the_rank_k_projection(case):
 @given(dims=extents, ranks=ranks, seed=seeds)
 def test_tr_svd_init_is_finite_clamped_and_no_worse_than_its_svd(dims, ranks, seed):
     t = np.random.default_rng(seed).standard_normal(dims)
-    # the clamping rule, written out: R1·R2 at most min(I1, I2·I3), then R3
-    # at most both extents of the second split
-    (i1, i2, i3), (r1, r2, r3) = dims, ranks
-    kmax = min(i1, i2 * i3)
-    if r1 * r2 > kmax:
-        r1, r2 = (kmax, 1) if r1 > kmax else (r1, max(1, kmax // r1))
-    r3 = min(r3, i2 * r2, r1 * i3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         f = tr_svd_init(t, ranks)
-        svd = _sequential_svd(t, (r1, r2, ranks[2]))
-    assert f.ranks == (r1, r2, r3)
+    svd = _sequential_svd(t, _carried(dims, ranks))
+    assert f.ranks == ranks
     assert all(np.all(np.isfinite(c)) for c in f.cores)
     err = np.linalg.norm(compose(f) - t)
     assert err <= np.linalg.norm(compose(svd) - t) + 1e-12 * np.linalg.norm(t)
+
+
+@PROPERTY
+@given(dims=extents, ranks=ranks, seed=seeds)
+def test_tr_svd_init_pads_a_clamped_ring_back_to_the_requested_ranks(dims, ranks,
+                                                                     seed):
+    # one warning names the clamped ranks; the cores past them are exactly 0,
+    # so the padded ring composes to the clamped ring's cube. The zero terms
+    # change how the products group their sums (dims (2, 1, 2) at ranks
+    # (4, 4, 1) moves one entry by an ulp), so each entry agrees within a
+    # rounding bound on its terms' absolute sum, not bit for bit
+    carried = _carried(dims, ranks)
+    assume(carried != ranks)
+    t = np.random.default_rng(seed).standard_normal(dims)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = tr_svd_init(t, ranks)
+    assert [str(w.message) for w in caught] == [
+        f"ring ranks clamped to {carried} for extents {dims}"]
+    assert f.ranks == ranks
+    kept = []
+    for n, core in enumerate(f.cores):
+        ra, rb = carried[n], carried[(n + 1) % 3]
+        padded = core.copy()
+        padded[:ra, :, :rb] = 0.0
+        assert not padded.any(), n
+        kept.append(core[:ra, :, :rb])
+    clamped = TRFactors(tuple(kept))
+    bound = 1e-14 * compose(TRFactors(tuple(np.abs(c) for c in kept)))
+    assert np.all(np.abs(compose(f) - compose(clamped)) <= bound)

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import cyclic_shift, evaluate_entry
-from trfuse.ring import (TRFactors, _core_solve, _sequential_svd, compose,
+from trfuse.ring import (TRFactors, _core_solve, _pad_core, _sequential_svd, compose,
                          merge_cores, random_init, tr_svd_init)
-from trfuse.solver import _pad_core
 from trfuse.tensor import mode_n_product, unfold
 
 
@@ -119,7 +118,7 @@ def test_core_solve_matches_lstsq_full_rank():
 
 
 def test_core_solve_matches_lstsq_rank_deficient():
-    # core 1 zero-padded to a larger last rank, as the solver's init pads a
+    # core 1 zero-padded to a larger last rank, as tr_svd_init pads a
     # clamped core, leaves zero rows in the matrix of the subchain it
     # ends (the one that skips core 2)
     rng = np.random.default_rng(10)
@@ -227,10 +226,11 @@ def test_tr_svd_zero_tensor_gives_zero_cores():
     f = tr_svd_init(np.zeros((4, 5, 6)), (2, 2, 2))
     assert all(np.all(c == 0) for c in f.cores)
     np.testing.assert_array_equal(compose(f), np.zeros((4, 5, 6)))
-    # the third rank clamps to the second split's (2 x 1) matricization
+    # the third rank clamps to the second split's (2 x 1) matricization, and
+    # the cores come back padded to the requested ranks
     with pytest.warns(UserWarning, match=r"clamped to \(1, 1, 1\)"):
         f = tr_svd_init(np.zeros((3, 2, 1)), (1, 1, 3))
-    assert [c.shape for c in f.cores] == [(1, 3, 1), (1, 2, 1), (1, 1, 1)]
+    assert [c.shape for c in f.cores] == [(1, 3, 1), (1, 2, 3), (3, 1, 1)]
     assert all(np.all(c == 0) for c in f.cores)
 
 
@@ -247,11 +247,15 @@ def test_tr_svd_clamps_oversized_ranks_with_warning():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         f = tr_svd_init(t, (4, 3, 2))
-    assert any("clamped" in str(w.message) for w in rec)
-    r1, r2, r3 = f.ranks
-    assert r1 * r2 <= 3
-    # factors remain structurally valid
-    compose(f)
+    # R1·R2 clamps to I1 = 3 with R1 cut to 3 and R2 to 1; R3 = 2 fits
+    assert [str(w.message) for w in rec] == [
+        "ring ranks clamped to (3, 1, 2) for extents (3, 4, 5)"]
+    assert f.ranks == (4, 3, 2)
+    g1, g2, g3 = f.cores
+    assert not g1[3:].any() and not g1[:, :, 1:].any()
+    assert not g2[1:].any()
+    assert not g3[:, :, 3:].any()
+    assert np.all(np.isfinite(compose(f)))
 
 
 def test_tr_svd_fit_never_worse_than_plain_truncation_bound():

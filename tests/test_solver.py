@@ -75,14 +75,14 @@ def test_cg_matches_direct_solve():
 
 def test_cg_zero_rhs_and_warm_start():
     spd = np.diag([1.0, 2.0, 3.0])
-    x, iters, relres = cg_solve(lambda v: spd @ v, np.zeros((3, 2)),
+    x, iters, relres = cg_solve(lambda v: spd @ v, np.zeros((3, 2)), 1e-6, 300,
                                 precondition=lambda r: r)
     np.testing.assert_array_equal(x, np.zeros((3, 2)))
     assert iters == 0
     rhs = np.array([[1.0], [4.0], [9.0]])
     exact = np.linalg.solve(spd, rhs)
-    x, iters, _ = cg_solve(lambda v: spd @ v, rhs, tol=1e-10, x0=exact,
-                           precondition=lambda r: r)
+    x, iters, _ = cg_solve(lambda v: spd @ v, rhs, tol=1e-10, max_iter=300,
+                           x0=exact, precondition=lambda r: r)
     assert iters == 0
     np.testing.assert_allclose(x, exact, atol=1e-12)
 
@@ -91,12 +91,13 @@ def test_unpreconditioned_cg_is_plain_cg():
     # the identity preconditioner reproduces plain CG bit for bit, converged,
     # capped, warm-started and on a zero right-hand side
     spd = np.diag([1.0, 2.0, 3.0])
-    cases = [(spd, np.zeros((3, 2)), {}),
+    cases = [(spd, np.zeros((3, 2)), {"tol": 1e-6, "max_iter": 300}),
              (spd, np.array([[1.0], [4.0], [9.0]]),
-              {"tol": 1e-10, "x0": np.linalg.solve(spd, [[1.0], [4.0], [9.0]])})]
+              {"tol": 1e-10, "max_iter": 300,
+               "x0": np.linalg.solve(spd, [[1.0], [4.0], [9.0]])})]
     for spd, rhs in _spd_cases():
         cases += [(spd, rhs, {"tol": 1e-12, "max_iter": 500}),
-                  (spd, rhs, {"max_iter": 2, "x0": np.ones_like(rhs)})]
+                  (spd, rhs, {"tol": 1e-6, "max_iter": 2, "x0": np.ones_like(rhs)})]
     for spd, rhs, kw in cases:
         x, iters, relres = cg_solve(lambda v: spd @ v, rhs, precondition=lambda r: r, **kw)
         x_ref, iters_ref, relres_ref = plain_cg(lambda v: spd @ v, rhs, **kw)
@@ -110,7 +111,7 @@ def test_cg_raises_on_nonfinite_residual():
 
     rhs = np.ones((3, 1))
     with pytest.raises(SolverDivergenceError):
-        cg_solve(bad, rhs, precondition=lambda r: r)
+        cg_solve(bad, rhs, 1e-6, 300, precondition=lambda r: r)
 
 
 def test_sylvester_operator_symmetric_and_coercive():
