@@ -8,6 +8,18 @@ on each slice's singular values through :func:`log_threshold_scalar`.
 G is real, so slices k and S-k of its DFT are complex conjugates with the
 same singular values. Both operators therefore work on the half spectrum
 ``rfft(G, axis=1)``, slices 0..S//2.
+
+The threshold operator takes no SVD. It reads each slice X's singular values
+from one batched ``eigh`` of its Gram matrix on the smaller side, X Xᴴ when
+R <= R' and Xᴴ X otherwise, and applies the thresholded values f(σ) as a
+matrix function of that Gram matrix: U diag(f(σ)/σ) Uᴴ X, or
+X V diag(f(σ)/σ) Vᴴ. With ε the machine epsilon, eigenvalues at or below
+λ_max·ε·max(R, R') count as σ = 0 and add nothing, so a rank-deficient
+slice keeps its null space whatever f(0+) is. A σ taken from a Gram
+eigenvalue carries an absolute error of about √ε·σ_max, against ε·σ_max from
+an SVD; the threshold sends such small σ to 0, but log(σ + eps) would carry
+the error into the value, so :func:`ltnn_value`, which the objective reads,
+stays on the SVD's singular values.
 """
 
 from __future__ import annotations
@@ -79,16 +91,23 @@ def log_threshold_scalar(s, t: float, eps: float):
 def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
     """Slice-wise singular value thresholding in the mode-1 spectral domain.
 
-    Rebuilds each half-spectrum slice as U * diag(thresholded sigma) * Vh and
-    inverts with ``irfft``, so the output is real by construction. t = 0 is
-    the identity and returns a copy of ``a`` without transforming it.
+    Rebuilds each half-spectrum slice X through its Gram matrix on the smaller
+    side (module docstring) and inverts with ``irfft``, so the output is real
+    by construction. t = 0 is the identity and returns a copy of ``a`` without
+    transforming it.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3:
         raise ValueError("ltnn_prox expects a 3-way core")
     if t == 0:
         return a.copy()
-    u, s, vh = np.linalg.svd(np.fft.rfft(a, axis=1).transpose(1, 0, 2),
-                             full_matrices=False)
-    rebuilt = u @ (log_threshold_scalar(s, t, eps)[..., None] * vh)
+    x = np.fft.rfft(a, axis=1).transpose(1, 0, 2)
+    wide = a.shape[0] <= a.shape[2]
+    xh = x.conj().swapaxes(1, 2)
+    lam, u = np.linalg.eigh(x @ xh if wide else xh @ x)
+    keep = lam > lam[:, -1:] * np.finfo(float).eps * max(a.shape[0], a.shape[2])
+    sigma = np.sqrt(np.where(keep, lam, 1.0))
+    gain = np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
+    m = (u * gain[:, None, :]) @ u.conj().swapaxes(1, 2)
+    rebuilt = m @ x if wide else x @ m
     return np.fft.irfft(rebuilt.transpose(1, 0, 2), n=a.shape[1], axis=1)

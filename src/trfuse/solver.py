@@ -169,7 +169,9 @@ def cg_solve(apply, rhs: np.ndarray, tol: float, max_iter: int,
     Returns (x, iterations, relative residual); stops at
     ||apply(x) - rhs|| <= tol * ||rhs|| (the true residual, not the
     preconditioned one) or at max_iter. ``x0`` is never written to; when no
-    iteration runs, the returned x is ``x0`` itself.
+    iteration runs, the returned x is ``x0`` itself. A right-hand side or a
+    residual whose norm is not finite, at the start or after any step,
+    raises SolverDivergenceError.
     """
     rhs = np.asarray(rhs, dtype=float)
     bnorm = float(np.linalg.norm(rhs))
@@ -181,6 +183,8 @@ def cg_solve(apply, rhs: np.ndarray, tol: float, max_iter: int,
     p = s
     rs = float((r * r).sum())
     rz = float((r * s).sum())
+    if not (math.isfinite(bnorm) and math.isfinite(rs)):
+        raise SolverDivergenceError("non-finite residual in conjugate gradients")
     relres = math.sqrt(rs) / bnorm
     iters = 0
     while relres > tol and iters < max_iter:

@@ -1,6 +1,8 @@
 """Reference helpers shared by the test suites, kept out of the package."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -9,6 +11,16 @@ from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
 from trfuse.ring import TRFactors, compose
 from trfuse.solver import SolverDivergenceError, cg_solve
 from trfuse.tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
+
+
+def bench_oracle():
+    """The benchmark's reference module ``bench/oracle.py``, which does not
+    import the package: pinned phantoms, its own degradation and checks."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
 
 
 def dense_difference(extent):

@@ -4,7 +4,6 @@ Runs use a 16x16x8 phantom with k_max kept small; these tests exercise the
 plumbing, not reconstruction quality.
 """
 
-import importlib.util
 import json
 import os
 import re
@@ -32,7 +31,8 @@ from trfuse.solver import SolverDivergenceError
 from trfuse.tensor import mode_n_product
 from trfuse.tnsr import TnsrError, read_tnsr, write_tnsr
 
-ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+from helpers import bench_oracle
+
 SRC = Path(trfuse.harness.__file__).resolve().parents[1]
 
 
@@ -355,17 +355,10 @@ def test_run_ablate_rows_and_table(gt_file, tmp_path):
         run_ablate(parse_experiment_config({"y": "a", "z": "b"}), out)
 
 
-def _bench_oracle():
-    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
-    return oracle
-
-
 def test_ablation_rows_match_oracle_coefficients(gt_file, tmp_path):
     # the benchmark's oracle states each variant's coefficients from the
     # paper's ablation, independently of ABLATION_VARIANTS
-    oracle = _bench_oracle()
+    oracle = bench_oracle()
     cols = ("alpha", "beta_core1", "beta_core2", "beta_core3")
     for alpha, beta in ((1e-3, 0.7), (2e-4, 2.0)):
         out = tmp_path / f"abl-{beta}"
@@ -383,7 +376,7 @@ def test_fuse_outputs_pass_the_benchmark_checks(tmp_path):
     # the output checks of the benchmark, on its self-test's small phantom
     # and degradation: a scoring change the benchmark would count incorrect
     # fails here first
-    oracle = _bench_oracle()
+    oracle = bench_oracle()
     gt = oracle.ring_phantom((32, 32, 16), (2, 4, 2), 11)
     _, z = oracle.degrade(gt, 2, 5, 1.0, 6)
     baseline_db = oracle.psnr_db(gt, oracle.spectral_lift(z, 16))
@@ -714,9 +707,9 @@ def test_cli_overflowing_observations_exit_3(tmp_path, capsys):
         assert not (tmp_path / command).exists()
 
 
-def test_cli_overflowing_scores_exit_3(gt_file, tmp_path, capsys):
-    # at -3000 dB the noise, and so the fused cube, is near the float range:
-    # the solve ends, but scoring a band overflows, which is a data error
+def test_cli_overflowing_solve_exit_4(gt_file, tmp_path, capsys):
+    # at -3000 dB the noise is near the float range: the first block's
+    # right-hand side overflows, which the solver reports before any output
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
@@ -726,15 +719,21 @@ def test_cli_overflowing_scores_exit_3(gt_file, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main([command, "--config", str(cfg_path),
                          "--out", str(tmp_path / command)])
-        assert code == 3
-        assert "band 0 cannot be scored: overflow" in capsys.readouterr().err
-    # fuse wrote what precedes scoring; ablate writes its table last
-    assert sorted(p.name for p in (tmp_path / "fuse").iterdir()) == [
-        "convergence.csv", "error_tensor.tnsr", "xhat.tnsr"]
-    assert not (tmp_path / "ablate").exists()
-    assert main(["metrics", "--ref", str(gt_file), "--est",
-                 str(tmp_path / "fuse" / "xhat.tnsr"), "--factor", "2"]) == 3
-    assert "cannot be scored" in capsys.readouterr().err
+        assert code == 4
+        assert "non-finite residual" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def test_cli_overflowing_scores_exit_3(gt_file, tmp_path, capsys):
+    # a finite estimate whose squared errors overflow cannot be scored,
+    # which is a data error
+    est = tmp_path / "est.tnsr"
+    write_tnsr(est, 1e300 * read_tnsr(gt_file))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["metrics", "--ref", str(gt_file), "--est", str(est),
+                     "--factor", "2"])
+    assert code == 3
+    assert "band 0 cannot be scored: overflow" in capsys.readouterr().err
 
 
 def test_cli_divergence_exit_4(tmp_path, capsys):

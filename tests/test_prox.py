@@ -11,6 +11,7 @@ import pytest
 from helpers import full_spectrum_ltnn_prox, full_spectrum_ltnn_value
 from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
                          soft_shrink_weighted, update_weights)
+from trfuse.ring import _pad_core
 
 
 def test_soft_shrink_basic_cases():
@@ -107,8 +108,19 @@ def test_log_threshold_validation():
         log_threshold_scalar(1.0, 0.1, 0.0)
 
 
+def _prox_reference_inputs(g):
+    """Cores derived from a random core g (R, S, R') for the prox reference
+    check: g at scales 1e-3 and 1e3, g with slice singular values spread
+    over 8 decades, g zero-padded in both rank modes, and an all-zero core."""
+    r, n, r2 = g.shape
+    q = np.linalg.qr(np.random.default_rng(r * n * r2).standard_normal((r, r)))[0]
+    spread = np.einsum("ab,bic->aic", q * np.logspace(0, -8, r), g)
+    return (g, 1e-3 * g, 1e3 * g, spread, _pad_core(g, (r + 1, n, r2 + 2)),
+            np.zeros_like(g))
+
+
 def test_ltnn_matches_full_spectrum_reference():
-    # the half-spectrum path must equal the full DFT, per-slice SVD and
+    # the half-spectrum Gram path must equal the full DFT, per-slice SVD and
     # real part of the inverse DFT, for odd and even S and for R != R'
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 4, 7, 8, 64):
@@ -125,14 +137,56 @@ def test_ltnn_matches_full_spectrum_reference():
             for eps in (1e-3, 1e-1):
                 want = full_spectrum_ltnn_value(g, eps)
                 assert abs(ltnn_value(g, eps) - want) <= 1e-12 * abs(want)
-            for t in (0.0, 0.3, 1.5):
-                want = full_spectrum_ltnn_prox(g, t, 1e-2)
-                got = ltnn_prox(g, t, 1e-2)
-                assert got.shape == g.shape and got.dtype == np.float64
+            # below t = eps²/4 the threshold of a vanishing σ is not 0, so
+            # that case is compared on g alone, whose slices have full rank
+            cases = [(core, t) for core in _prox_reference_inputs(g)
+                     for t in (0.0, 0.3, 1.5)] + [(g, 1e-5)]
+            for core, t in cases:
+                want = full_spectrum_ltnn_prox(core, t, 1e-2)
+                got = ltnn_prox(core, t, 1e-2)
+                assert got.shape == core.shape and got.dtype == np.float64
                 assert (np.linalg.norm(got - want)
                         <= 1e-12 * np.linalg.norm(want))
     with pytest.raises(ValueError):
         ltnn_prox(np.zeros((2, 2)), 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_ltnn_prox_adds_nothing_from_a_vanishing_singular_value(wide):
+    # every slice of a = A ∘ b (or b ∘ Aᵀ) has rank 2 in a 3-row (3-column)
+    # space, so its third σ is 0 up to rounding. Below t = eps²/4 the
+    # threshold maps σ → 0+ to about -t/eps, not 0, so a rebuilt slice that
+    # took that σ would leave A's span; the prox must stay inside it and
+    # match the reference there
+    rng = np.random.default_rng(9)
+    basis = rng.standard_normal((3, 2))
+    b = rng.standard_normal((2, 8, 4))
+    if wide:
+        a = np.einsum("ab,bic->aic", basis, b)
+    else:
+        a = np.einsum("bia,cb->aic", b, basis)
+    t, eps = 1e-5, 1e-2
+    onto = basis @ np.linalg.pinv(basis)
+
+    def project(core, proj):
+        return (np.einsum("ab,bic->aic", proj, core) if wide
+                else np.einsum("aib,bc->aic", core, proj))
+
+    got = ltnn_prox(a, t, eps)
+    scale = np.linalg.norm(got)
+    assert np.linalg.norm(project(got, np.eye(3) - onto)) <= 1e-13 * scale
+    want = project(full_spectrum_ltnn_prox(a, t, eps), onto)
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+def test_ltnn_prox_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("ltnn_prox called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    g = np.random.default_rng(10).standard_normal((3, 6, 4))
+    for core in (g, g.transpose(2, 1, 0)):
+        ltnn_prox(core, 0.3, 1e-2)
 
 
 def test_ltnn_value_zero_tensor():

@@ -12,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import trfuse.solver
+
 from trfuse.degradation import DegradationModel, add_noise, degrade
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
@@ -21,7 +23,8 @@ from trfuse.solver import (FusionResult, SolverConfig, SolverDivergenceError,
 from trfuse.prox import ltnn_value
 from trfuse.tensor import fold, mode_n_product, unfold
 
-from helpers import cube_objective, dense_difference, plain_cg
+from helpers import (bench_oracle, cube_objective, dense_difference,
+                     full_spectrum_ltnn_prox, plain_cg)
 
 
 def _small_problem(seed=21, noisy=False):
@@ -112,6 +115,16 @@ def test_cg_raises_on_nonfinite_residual():
     rhs = np.ones((3, 1))
     with pytest.raises(SolverDivergenceError):
         cg_solve(bad, rhs, 1e-6, 300, precondition=lambda r: r)
+
+
+@pytest.mark.parametrize("x0", [None, "cancel"])
+def test_cg_raises_on_overflowing_rhs(x0):
+    # ||rhs|| overflows although every entry is finite; a warm start that
+    # cancels the right-hand side exactly would otherwise read as converged
+    rhs = np.full((3, 2), 1e200)
+    x0 = rhs.copy() if x0 == "cancel" else x0
+    with np.errstate(over="ignore"), pytest.raises(SolverDivergenceError):
+        cg_solve(lambda v: v, rhs, 1e-6, 300, x0=x0, precondition=lambda r: r)
 
 
 def test_sylvester_operator_symmetric_and_coercive():
@@ -270,6 +283,26 @@ def test_solve_is_deterministic():
     np.testing.assert_array_equal(a.fused, b.fused)
     assert [h.objective for h in a.history] == [h.objective for h in b.history]
     assert [h.rel_change for h in a.history] == [h.rel_change for h in b.history]
+
+
+def test_gram_prox_keeps_the_svd_prox_trajectory(monkeypatch):
+    # the prox thresholds through Gram eigendecompositions, which round
+    # differently from an SVD; on a noiseless exact-rank phantom the run
+    # must take the same path as with the SVD reference prox
+    oracle = bench_oracle()
+    gt = oracle.ring_phantom((32, 32, 16), (2, 4, 2), 11)
+    model = DegradationModel.build(gt.shape, factor=4, kernel_size=7,
+                                   sigma=2.0, out_bands=4)
+    y, z = degrade(gt, model)
+    cfg = SolverConfig(ranks=(2, 4, 2))
+    runs = [solve(y, z, model, cfg).history]
+    monkeypatch.setattr(trfuse.solver, "ltnn_prox", full_spectrum_ltnn_prox)
+    runs.append(solve(y, z, model, cfg).history)
+    gram, svd = ([(h.k, h.inner_sweeps, h.cg_iters, h.cg_capped) for h in run]
+                 for run in runs)
+    assert gram == svd
+    for a, b in zip(*runs):
+        assert abs(a.objective - b.objective) <= 1e-9 * abs(b.objective)
 
 
 def test_rel_change_matches_the_composed_cubes():
