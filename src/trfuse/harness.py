@@ -118,17 +118,38 @@ def _write_per_band(path: Path, report: MetricsReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _prepare_out(out_dir) -> Path:
+def _check_out(out_dir) -> Path:
+    """The output directory, refused if a file stands at or above it; nothing is made."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output path {out}: {nearest} is not a directory")
     return out
+
+
+def _prepare_out(out: Path) -> Path:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output path {out}: {exc}") from exc
+    return out
+
+
+def _check_scorable(gt: np.ndarray) -> None:
+    """A constant ground truth has no span, and a band wholly at its minimum no ERGAS."""
+    lo, _ = reference_span(gt)
+    dark = np.flatnonzero(gt.max(axis=(0, 1)) == lo)
+    if dark.size:
+        raise ValueError(f"ground truth band {dark[0]} lies wholly at the "
+                         f"cube's minimum {lo!r}, so ergas is undefined")
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     if cfg.ground_truth is None:
         raise ConfigError("simulate requires a ground_truth path")
+    out = _check_out(out_dir)
     gt, model, y, z = load_inputs(cfg)
-    out = _prepare_out(out_dir)
+    _prepare_out(out)
     write_tnsr(out / "y.tnsr", y)
     write_tnsr(out / "z.tnsr", z)
     echo = {"config": cfg.as_dict(),
@@ -160,21 +181,22 @@ def _release_freed_heap() -> None:
 def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     """Fuse and, given a ground truth, score the fused cube and the baseline.
 
-    A constant ground truth is refused before the solve. Each report scores
-    its cube against the ground truth in their own units, and the fused cube
-    is released before the baseline is lifted, so two cube-sized arrays are
-    live while scoring. The heap the
-    solve freed is returned to the OS before the output is written, and the
-    scoring threads' arenas' free pages once the baseline is scored.
+    A ground truth no report can score is refused before the solve. Each
+    report scores its cube against the ground truth in their own units, and
+    the fused cube is released before the baseline is lifted, so two
+    cube-sized arrays are live while scoring. The heap the solve freed is
+    returned to the OS before the output is written, and the scoring
+    threads' arenas' free pages once the baseline is scored.
     """
+    out = _check_out(out_dir)
     gt, model, y, z = load_inputs(cfg)
     with _data_errors():
         if gt is not None:
-            reference_span(gt)  # a constant ground truth cannot be scored
+            _check_scorable(gt)
         result = solve(y, z, model, cfg.solver)
     del y  # only z is read again, by the baseline
     _release_freed_heap()
-    out = _prepare_out(out_dir)
+    _prepare_out(out)
     write_tnsr(out / "xhat.tnsr", result.fused)
     _write_convergence(out / "convergence.csv", result)
     summary: dict = {"out": str(out), "iterations": len(result.history),
@@ -223,9 +245,10 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """
     if cfg.ground_truth is None:
         raise ConfigError("ablate requires a ground_truth path")
+    out = _check_out(out_dir)
     gt, model, y, z = load_inputs(cfg)
     with _data_errors():
-        reference_span(gt)  # a constant ground truth cannot be scored
+        _check_scorable(gt)
         y, z = check_observations(y, z, model)
         init = initial_factors(y, z, cfg.solver)
     rows = []
@@ -239,7 +262,7 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
             row[f"beta_core{i + 1}"] = scfg.beta * scfg.beta_scales[i]
         row.update(report.scalars())
         rows.append(row)
-    out = _prepare_out(out_dir)
+    _prepare_out(out)
     cols = ["variant", "alpha", "beta_core1", "beta_core2", "beta_core3",
             "psnr", "ssim", "ergas", "sam", "uiqi"]
     lines = [",".join(cols)]
@@ -251,13 +274,13 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
 
 
 def run_metrics(ref_path, est_path, factor: int, out_dir=None) -> dict:
+    out = None if out_dir is None else _check_out(out_dir)
     ref = read_tnsr(ref_path)
     est = read_tnsr(est_path)
     with _data_errors():
         report = metrics_report(ref, est, factor)
     payload = {"metrics": report.scalars(), "ref": str(ref_path),
                "est": str(est_path), "factor": factor}
-    if out_dir is not None:
-        out = _prepare_out(out_dir)
-        _write_json(out / "metrics.json", payload)
+    if out is not None:
+        _write_json(_prepare_out(out) / "metrics.json", payload)
     return payload

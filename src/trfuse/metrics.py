@@ -8,12 +8,11 @@ with (x - min) * 255 / (max - min) as it reads them. The single indices
 given, the same walk under the identity map. The walk makes no cube-sized
 copy, and every memory layout gives the same bits.
 
-Every index comes from one walk over the bands, one band per task. Bands of
-at least 192x192 pixels are spread over a pool of threads, one per CPU the
-process may run on; smaller ones are scored in the calling thread. A task
-returns all a report takes from its band, and the walk takes the results in
-band order, adding each mapped pair into SAM's per-pixel sums, so no output
-depends on the number of threads.
+Every index comes from one walk over the bands, one band per task, and every
+band is scored on a pool of threads, one per CPU the process may run on. A
+task returns all a report takes from its band, and the walk takes the
+results in band order, adding each mapped pair into SAM's per-pixel sums, so
+no output depends on the number of threads.
 
 SSIM and UIQI are one index, the mean over sliding windows of
 (2 mu1 mu2 + c1)(2 cov + c2) / ((mu1² + mu2² + c1)(var1 + var2 + c2)):
@@ -169,14 +168,9 @@ def _windowed_index(maps: np.ndarray, taps: np.ndarray,
 def _pool():
     """The scoring threads, one per CPU this process may run on, made at first use."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
-
-
-# A band takes some sixty numpy calls, and between busy threads each call
-# hands the GIL over. On a 2-CPU host the hand-offs cost more than the second
-# CPU saves up to bands of about 160x160 pixels, so bands smaller than this
-# are scored in the calling thread.
-_POOL_MIN_PIXELS = 192 * 192
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+    return ThreadPoolExecutor(os.cpu_count() or 1)
 
 
 class _BandScores(NamedTuple):
@@ -187,33 +181,26 @@ class _BandScores(NamedTuple):
     xx: np.ndarray       # per-pixel spectral dots x·x, e·e and x·e
     ee: np.ndarray
     xe: np.ndarray
-    equal: np.ndarray    # pixels whose spectra are bit-equal
 
 
 def _walk(ref: np.ndarray, est: np.ndarray,
           lo: float = 0.0, scale: float = 1.0) -> _BandScores:
     """Score every band of a checked pair mapped by (v - lo) * scale.
 
-    The identity map (lo 0, scale 1) is exact. Each band is scored whole by
-    one worker, and the walk takes the results in band order, adding each
-    mapped pair into SAM's per-pixel sums, so the scores do not depend on
-    the number of workers, nor on whether the bands ran on the pool.
+    The identity map (lo 0, scale 1) is exact. Every band goes to the pool
+    and is scored whole by one worker, and the walk takes the results in
+    band order, adding each mapped pair into SAM's per-pixel sums, so the
+    scores do not depend on the number of workers.
     """
     score = partial(_score_band, ref, est, lo, scale)
-    bands = range(ref.shape[2])
-    pooled = ref.shape[0] * ref.shape[1] >= _POOL_MIN_PIXELS
-    plane = ref.shape[:2]
-    xx, ee, xe, prod = (np.zeros(plane) for _ in range(4))
-    equal = np.ones(plane, dtype=bool)
+    xx, ee, xe, prod = (np.zeros(ref.shape[:2]) for _ in range(4))
     rows = []
-    for row, x, e in (_pool().map if pooled else map)(score, bands):
+    for row, x, e in _pool().map(score, range(ref.shape[2])):
         rows.append(row)
         xx += np.multiply(x, x, out=prod)
         ee += np.multiply(e, e, out=prod)
         xe += np.multiply(x, e, out=prod)
-        equal &= x == e
-    return _BandScores(*np.array(rows, dtype=float).reshape(-1, 4).T,
-                       xx, ee, xe, equal)
+    return _BandScores(*np.array(rows, dtype=float).reshape(-1, 4).T, xx, ee, xe)
 
 
 def _psnr_from(scores: _BandScores, pixels: int) -> np.ndarray:
@@ -244,8 +231,9 @@ def _sam_from(scores: _BandScores) -> tuple[float, int]:
         return np.nan, skipped
     cosang = scores.xe[keep] / (nx[keep] * ne[keep])
     angles = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    # arccos near 1 cannot resolve the zero angle of bit-equal spectra
-    angles[scores.equal[keep]] = 0.0
+    # arccos near 1 cannot resolve the zero angle of bit-equal spectra, whose
+    # three sums add the same products in the same order
+    angles[((scores.xe == scores.xx) & (scores.xe == scores.ee))[keep]] = 0.0
     return float(np.mean(angles)), skipped
 
 

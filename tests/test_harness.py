@@ -674,6 +674,66 @@ def test_cli_constant_ground_truth_exit_3_before_solving(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_cli_dark_ground_truth_band_exit_3_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    # a band wholly at the cube's minimum maps to a band of mean 0: no ergas
+    gt = _phantom()
+    gt[:, :, 3] = gt.min()
+    write_tnsr(tmp_path / "gt.tnsr", gt)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(tmp_path / "gt.tnsr"), "factor": 2,
+         "msi_bands": 4, "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a ground truth that cannot be scored")
+
+    for name in ("solve", "initial_factors"):
+        monkeypatch.setattr(trfuse.harness, name, no_solve)
+    for command in ("fuse", "ablate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "ground truth band 3 lies wholly at the cube's minimum" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_out_that_cannot_be_a_directory_exit_2(gt_file, tmp_path, capsys,
+                                                   monkeypatch):
+    # a file, or a path under one, is refused before any input is read
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+         "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}))
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("read an input with an unusable --out")
+
+    for name in ("solve", "read_tnsr"):
+        monkeypatch.setattr(trfuse.harness, name, no_read)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    commands = [[c, "--config", str(cfg_path)] for c in ("simulate", "fuse", "ablate")]
+    commands.append(["metrics", "--ref", str(gt_file), "--est", str(gt_file)])
+    for out in (blocker, blocker / "sub" / "dir"):
+        for argv in commands:
+            assert main([*argv, "--out", str(out)]) == 2, (argv, out)
+            err = capsys.readouterr().err
+            assert f"config error: output path {out}: {blocker} is not a directory" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept"
+
+
+def test_out_that_cannot_be_made_is_a_config_error(gt_file, tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    with pytest.raises(ConfigError, match="output path .*Permission denied"):
+        run_metrics(gt_file, gt_file, 2, tmp_path / "o")
+
+
 def test_cli_metrics_reproduces_the_fuse_report(gt_file, tmp_path):
     # both entry points score through one path, so the scalars are bit-equal
     cfg_path = tmp_path / "cfg.json"

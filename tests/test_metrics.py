@@ -5,6 +5,7 @@ compute every statistic directly, sharing no code with the module under test.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -387,22 +388,56 @@ def test_shape_validation():
 
 
 def test_scores_do_not_depend_on_the_worker_count(monkeypatch):
-    # bands large enough to be scored on the pool
-    ref, est = _pair((192, 193, 3), 27)
-    reports, used = [], []
-    for workers in (1, 4):
-        with ThreadPoolExecutor(workers) as pool:
-            monkeypatch.setattr(trfuse.metrics, "_pool",
-                                lambda: used.append(workers) or pool)
-            reports.append(metrics_report(ref, est, factor=2.0))
-    assert used == [1, 4]
-    # each band is scored whole by one worker and gathered in band order
-    assert reports[0] == reports[1]
+    # every band goes to the pool, however small
+    for shape in ((16, 17, 3), (96, 97, 3), (192, 193, 3)):
+        ref, est = _pair(shape, 27)
+        reports, used = [], []
+        for workers in (1, 4):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(trfuse.metrics, "_pool",
+                                    lambda: used.append(workers) or pool)
+                reports.append(metrics_report(ref, est, factor=2.0))
+        assert used == [1, 4], shape
+        # each band is scored whole by one worker and gathered in band order
+        assert reports[0] == reports[1], shape
+
+
+def test_the_pool_is_sized_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity is Linux only; elsewhere the pool counts the CPUs
+    ref, est = _pair((192, 192, 2), 31)
+    want = metrics_report(ref, est, factor=2.0)
+    trfuse.metrics._pool.cache_clear()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    try:
+        assert metrics_report(ref, est, factor=2.0) == want
+    finally:
+        trfuse.metrics._pool.cache_clear()
+
+
+def test_sam_of_bit_equal_spectra_on_the_pool():
+    ref, est = _pair((200, 200, 5), 33)
+    rng = np.random.default_rng(34)
+    copied = rng.random(ref.shape[:2]) < 0.25
+    copied[0, 0] = True
+    ref[0, 0, 2] = 0.0
+    est[copied] = ref[copied]
+    est[0, 0, 2] = -0.0  # equal to +0, though not in its bits
+    # value-equal spectra, signed zeros included, leave x·x, e·e and x·e
+    # bit-equal, and here no other spectrum does
+    scores = _walk(ref, est)
+    np.testing.assert_array_equal(
+        (scores.xe == scores.xx) & (scores.xe == scores.ee), copied)
+    want, _ = einsum_sam(ref, est)
+    assert abs(_sam_from(scores)[0] - want) <= 1e-12 * want
+    # every spectrum value-equal: every angle is 0, the mean exactly 0
+    copy = ref.copy()
+    copy[0, 0, 2] = -0.0
+    assert sam(ref, copy) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(16, 17, 3), (192, 193, 3)])
 def test_a_band_whose_scores_overflow_is_an_error(shape):
-    # in the calling thread and on the pool: the band's index, not inf or 0
+    # small bands and large: the band's index, not inf or 0
     ref, est = _pair(shape, 29)
     est[:, :, 1] *= 1e160
     with np.errstate(over="ignore"), pytest.raises(
