@@ -214,8 +214,9 @@ def _psnr_from(scores: _BandScores, pixels: int) -> np.ndarray:
 def _ergas_from(scores: _BandScores, pixels: int, factor: float) -> float:
     rmse = np.sqrt(scores.sq_err / pixels)
     means = scores.ref_sum / pixels
-    if np.any(means == 0):
-        raise ValueError("ergas undefined: a reference band has zero mean")
+    zero = np.flatnonzero(means == 0)
+    if zero.size:
+        raise ValueError(f"ergas undefined: reference band {zero[0]} has zero mean")
     return float(100.0 / factor * np.sqrt(np.mean((rmse / means) ** 2)))
 
 

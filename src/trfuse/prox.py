@@ -20,6 +20,13 @@ eigenvalue carries an absolute error of about √ε·σ_max, against ε·σ_max 
 an SVD; the threshold sends such small σ to 0, but log(σ + eps) would carry
 the error into the value, so :func:`ltnn_value`, which the objective reads,
 stays on the SVD's singular values.
+
+A core whose smaller rank is 2, min(R, R') == 2, has slices of two rows (or
+two columns), so each Gram matrix is 2×2. Such a core skips ``eigh``: the
+two eigenvalues come in closed form, the one-rotation symmetric Schur step
+(Golub & Van Loan, Matrix Computations, §8.5), and the matrix function is
+rebuilt from them elementwise under the same keep rule, with no LAPACK call.
+Every other core takes the batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -101,13 +108,50 @@ def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
         raise ValueError("ltnn_prox expects a 3-way core")
     if t == 0:
         return a.copy()
-    x = np.fft.rfft(a, axis=1).transpose(1, 0, 2)
-    wide = a.shape[0] <= a.shape[2]
+    r, r2 = a.shape[0], a.shape[2]
+    spec = np.fft.rfft(a, axis=1)
+    if r == 2 <= r2:
+        rebuilt = _two_row_prox(spec, t, eps, r2)
+    elif r2 == 2 < r:
+        # thresholding commutes with the transpose: rows of Xᵀ are X's columns
+        rebuilt = _two_row_prox(spec.transpose(2, 1, 0), t, eps, r).transpose(2, 1, 0)
+    else:
+        rebuilt = _gram_prox(spec.transpose(1, 0, 2), t, eps).transpose(1, 0, 2)
+    return np.fft.irfft(rebuilt, n=a.shape[1], axis=1)
+
+
+def _gram_prox(x: np.ndarray, t: float, eps: float) -> np.ndarray:
+    """Threshold the slices x (H, R, R') through one batched ``eigh``."""
+    wide = x.shape[1] <= x.shape[2]
     xh = x.conj().swapaxes(1, 2)
     lam, u = np.linalg.eigh(x @ xh if wide else xh @ x)
-    keep = lam > lam[:, -1:] * np.finfo(float).eps * max(a.shape[0], a.shape[2])
+    keep = lam > lam[:, -1:] * np.finfo(float).eps * max(x.shape[1], x.shape[2])
     sigma = np.sqrt(np.where(keep, lam, 1.0))
     gain = np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
     m = (u * gain[:, None, :]) @ u.conj().swapaxes(1, 2)
-    rebuilt = m @ x if wide else x @ m
-    return np.fft.irfft(rebuilt.transpose(1, 0, 2), n=a.shape[1], axis=1)
+    return m @ x if wide else x @ m
+
+
+def _two_row_prox(y: np.ndarray, t: float, eps: float, long_side: int) -> np.ndarray:
+    """Threshold two-row slices y (2, H, long_side) in closed form.
+
+    Row pair p = y[0], q = y[1] of each slice has the Gram matrix
+    [[a, b], [b̄, d]], whose eigenvalues are (a+d)/2 ± r with
+    r = hypot((a-d)/2, |b|). A gain g(λ) applied as a matrix function of it is
+    ḡ I + (Δg/r) [[(a-d)/2, b], [b̄, -(a-d)/2]], with ḡ and Δg the mean and
+    half-difference of g(λ₊) and g(λ₋); where r = 0 the gains are equal and
+    the second term vanishes.
+    """
+    gram = np.einsum("ihl,jhl->ijh", y, y.conj())
+    a, d, b = gram[0, 0].real, gram[1, 1].real, gram[0, 1]
+    half = (a - d) / 2
+    r = np.hypot(half, np.abs(b))
+    lam = (a + d) / 2 + np.stack([r, -r])
+    keep = lam > lam[0] * np.finfo(float).eps * long_side
+    sigma = np.sqrt(np.where(keep, lam, 1.0))
+    gain = np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
+    mean = (gain[0] + gain[1]) / 2
+    slope = np.divide(gain[0] - gain[1], 2 * r, out=np.zeros_like(r), where=r > 0)
+    m = np.array([[mean + slope * half, slope * b],
+                  [slope * b.conj(), mean - slope * half]])
+    return np.einsum("ijh,jhl->ihl", m, y)

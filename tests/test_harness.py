@@ -698,6 +698,20 @@ def test_cli_dark_ground_truth_band_exit_3_before_solving(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_cli_metrics_names_the_zero_mean_reference_band(tmp_path, capsys):
+    # metrics scores a given pair: a dark band is refused as ergas, by index
+    gt = _phantom()
+    gt[:, :, 5] = gt.min()
+    write_tnsr(tmp_path / "d.tnsr", gt)
+    out = tmp_path / "scores"
+    assert main(["metrics", "--ref", str(tmp_path / "d.tnsr"), "--est",
+                 str(tmp_path / "d.tnsr"), "--factor", "2",
+                 "--out", str(out)]) == 3
+    assert "ergas undefined: reference band 5 has zero mean" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_out_that_cannot_be_a_directory_exit_2(gt_file, tmp_path, capsys,
                                                    monkeypatch):
     # a file, or a path under one, is refused before any input is read

@@ -134,8 +134,8 @@ def test_ergas_matches_naive_reference():
     ref, est = _pair((8, 8, 2), 6)
     with pytest.raises(ValueError):
         ergas(ref, est, 0.0)
-    ref[:, :, 0] = 0.0
-    with pytest.raises(ValueError):
+    ref[:, :, 1] = 0.0
+    with pytest.raises(ValueError, match="reference band 1 has zero mean"):
         ergas(ref, est, 4.0)
 
 

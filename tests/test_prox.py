@@ -121,10 +121,12 @@ def _prox_reference_inputs(g):
 
 def test_ltnn_matches_full_spectrum_reference():
     # the half-spectrum Gram path must equal the full DFT, per-slice SVD and
-    # real part of the inverse DFT, for odd and even S and for R != R'
+    # real part of the inverse DFT, for odd and even S (S = 1 included), for
+    # R != R' and for the two-row closed form, tall, square and wide; the
+    # inputs include an all-zero core
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 4, 7, 8, 64):
-        for r, r2 in ((3, 3), (2, 5), (4, 1)):
+        for r, r2 in ((3, 3), (2, 5), (4, 1), (5, 2), (2, 2), (2, 7)):
             g = 2.0 * rng.standard_normal((r, n, r2))
             # a real core has conjugate-symmetric frequency slices, so
             # mirrored slices share singular values; the half spectrum
@@ -153,39 +155,49 @@ def test_ltnn_matches_full_spectrum_reference():
 
 @pytest.mark.parametrize("wide", [True, False])
 def test_ltnn_prox_adds_nothing_from_a_vanishing_singular_value(wide):
-    # every slice of a = A ∘ b (or b ∘ Aᵀ) has rank 2 in a 3-row (3-column)
-    # space, so its third σ is 0 up to rounding. Below t = eps²/4 the
-    # threshold maps σ → 0+ to about -t/eps, not 0, so a rebuilt slice that
-    # took that σ would leave A's span; the prox must stay inside it and
-    # match the reference there
-    rng = np.random.default_rng(9)
-    basis = rng.standard_normal((3, 2))
-    b = rng.standard_normal((2, 8, 4))
-    if wide:
-        a = np.einsum("ab,bic->aic", basis, b)
-    else:
-        a = np.einsum("bia,cb->aic", b, basis)
+    # every slice of a = A ∘ b (or b ∘ Aᵀ) has rank rows - 1 in a rows-row
+    # (rows-column) space, so its last σ is 0 up to rounding. Below
+    # t = eps²/4 the threshold maps σ → 0+ to about -t/eps, not 0, so a
+    # rebuilt slice that took that σ would leave A's span; the prox must stay
+    # inside it and match the reference there. rows = 2 takes the two-row
+    # closed form
     t, eps = 1e-5, 1e-2
-    onto = basis @ np.linalg.pinv(basis)
 
     def project(core, proj):
         return (np.einsum("ab,bic->aic", proj, core) if wide
                 else np.einsum("aib,bc->aic", core, proj))
 
-    got = ltnn_prox(a, t, eps)
-    scale = np.linalg.norm(got)
-    assert np.linalg.norm(project(got, np.eye(3) - onto)) <= 1e-13 * scale
-    want = project(full_spectrum_ltnn_prox(a, t, eps), onto)
-    assert np.linalg.norm(got - want) <= 1e-12 * scale
+    for rows in (3, 2):
+        rng = np.random.default_rng(9)
+        basis = rng.standard_normal((rows, rows - 1))
+        b = rng.standard_normal((rows - 1, 8, 4))
+        if wide:
+            a = np.einsum("ab,bic->aic", basis, b)
+        else:
+            a = np.einsum("bia,cb->aic", b, basis)
+        onto = basis @ np.linalg.pinv(basis)
+        got = ltnn_prox(a, t, eps)
+        scale = np.linalg.norm(got)
+        assert np.linalg.norm(project(got, np.eye(rows) - onto)) <= 1e-13 * scale
+        want = project(full_spectrum_ltnn_prox(a, t, eps), onto)
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
 
 
 def test_ltnn_prox_takes_no_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("ltnn_prox called np.linalg.svd")
 
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("ltnn_prox called np.linalg.eigh")
+
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     g = np.random.default_rng(10).standard_normal((3, 6, 4))
     for core in (g, g.transpose(2, 1, 0)):
+        ltnn_prox(core, 0.3, 1e-2)
+    # a slice with two rows or two columns is thresholded in closed form
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    g = np.random.default_rng(11).standard_normal((2, 6, 4))
+    for core in (g, g.transpose(2, 1, 0), g[:, :, :2]):
         ltnn_prox(core, 0.3, 1e-2)
 
 
