@@ -7,8 +7,8 @@ from .config import ConfigError, ExperimentConfig, load_experiment_config, \
 from .degradation import DegradationModel, add_noise, build_spectral_operator, \
     degrade, gaussian_kernel
 from .harness import DataError, run_ablate, run_fuse, run_metrics, run_simulate
-from .metrics import MetricsReport, ergas, metrics_report, psnr, rescale_pair, \
-    sam, ssim, uiqi
+from .metrics import MetricsReport, ergas, metrics_report, psnr, sam, ssim, \
+    uiqi
 from .prox import log_threshold_scalar, ltnn_prox, ltnn_value, \
     soft_shrink_weighted
 from .ring import TRFactors, compose, merge_cores, random_init, tr_svd_init
@@ -24,8 +24,7 @@ __all__ = [
     "DegradationModel", "add_noise", "build_spectral_operator", "degrade",
     "gaussian_kernel",
     "DataError", "run_ablate", "run_fuse", "run_metrics", "run_simulate",
-    "MetricsReport", "ergas", "metrics_report", "psnr", "rescale_pair",
-    "sam", "ssim", "uiqi",
+    "MetricsReport", "ergas", "metrics_report", "psnr", "sam", "ssim", "uiqi",
     "log_threshold_scalar", "ltnn_prox", "ltnn_value", "soft_shrink_weighted",
     "TRFactors", "compose", "merge_cores", "random_init", "tr_svd_init",
     "FusionResult", "IterationRecord", "SolverConfig",

@@ -44,12 +44,10 @@ def build_model(dims: tuple[int, int, int], cfg: ExperimentConfig) -> Degradatio
     if cfg.spectral_response is not None:
         response = read_tnsr(cfg.spectral_response)
         _require(response.ndim == 2, "spectral response must be a 2-way tensor")
-    try:
+    with _data_errors():
         return DegradationModel.build(
             dims, cfg.factor, kernel_size=cfg.kernel_size, sigma=cfg.sigma,
             band_groups=cfg.band_groups, out_bands=cfg.msi_bands, response=response)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
 
 
 def simulate_pair(gt: np.ndarray, cfg: ExperimentConfig

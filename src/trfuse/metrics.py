@@ -72,13 +72,6 @@ def _mapped(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
     return out
 
 
-def rescale_pair(ref: np.ndarray, est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map the reference range onto [0, 255] and est by the same map, in C order."""
-    ref, est = _check_pair(ref, est)
-    lo, scale = reference_span(ref)
-    return _mapped(ref, lo, scale), _mapped(est, lo, scale)
-
-
 def _score_band(ref: np.ndarray, est: np.ndarray, lo: float, scale: float,
                 band: int) -> tuple[tuple[float, float, float, float],
                                     np.ndarray, np.ndarray]:

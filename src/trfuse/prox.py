@@ -9,24 +9,24 @@ G is real, so slices k and S-k of its DFT are complex conjugates with the
 same singular values. Both operators therefore work on the half spectrum
 ``rfft(G, axis=1)``, slices 0..S//2.
 
-The threshold operator takes no SVD. It reads each slice X's singular values
-from one batched ``eigh`` of its Gram matrix on the smaller side, X Xᴴ when
-R <= R' and Xᴴ X otherwise, and applies the thresholded values f(σ) as a
-matrix function of that Gram matrix: U diag(f(σ)/σ) Uᴴ X, or
-X V diag(f(σ)/σ) Vᴴ. With ε the machine epsilon, eigenvalues at or below
-λ_max·ε·max(R, R') count as σ = 0 and add nothing, so a rank-deficient
-slice keeps its null space whatever f(0+) is. A σ taken from a Gram
-eigenvalue carries an absolute error of about √ε·σ_max, against ε·σ_max from
-an SVD; the threshold sends such small σ to 0, but log(σ + eps) would carry
-the error into the value, so :func:`ltnn_value`, which the objective reads,
-stays on the SVD's singular values.
+The threshold operator takes no SVD. It thresholds a tall core (R > R') as
+its transpose, since thresholding commutes with the transpose, so every
+slice X it meets is wide, R <= R'. It reads X's singular values from the
+eigenvalues λ of its Gram matrix X Xᴴ and applies the thresholded values f(σ)
+as a matrix function of it, U diag(f(σ)/σ) Uᴴ X. With ε the machine epsilon,
+eigenvalues at or below λ_max·ε·R' count as σ = 0 and add nothing, so a
+rank-deficient slice keeps its null space whatever f(0+) is. A σ taken from
+a Gram eigenvalue carries an absolute error of about √ε·σ_max, against
+ε·σ_max from an SVD; the threshold sends such small σ to 0, but log(σ + eps)
+would carry the error into the value, so :func:`ltnn_value`, which the
+objective reads, stays on the SVD's singular values.
 
-A core whose smaller rank is 2, min(R, R') == 2, has slices of two rows (or
-two columns), so each Gram matrix is 2×2. Such a core skips ``eigh``: the
-two eigenvalues come in closed form, the one-rotation symmetric Schur step
-(Golub & Van Loan, Matrix Computations, §8.5), and the matrix function is
-rebuilt from them elementwise under the same keep rule, with no LAPACK call.
-Every other core takes the batched ``eigh``.
+Slices of two rows, min(R, R') == 2, have 2×2 Gram matrices. They skip
+``eigh``: the two eigenvalues come in closed form, the one-rotation
+symmetric Schur step (Golub & Van Loan, Matrix Computations, §8.5), and the
+matrix function is rebuilt from them elementwise, with no LAPACK call. Every
+other core takes one batched ``eigh``. Both paths keep and weight the
+eigenvalues by the same rule, :func:`_gains`.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def log_threshold_scalar(s, t: float, eps: float):
 def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
     """Slice-wise singular value thresholding in the mode-1 spectral domain.
 
-    Rebuilds each half-spectrum slice X through its Gram matrix on the smaller
-    side (module docstring) and inverts with ``irfft``, so the output is real
-    by construction. t = 0 is the identity and returns a copy of ``a`` without
+    Rebuilds each half-spectrum slice X through its Gram matrix X Xᴴ (module
+    docstring) and inverts with ``irfft``, so the output is real by
+    construction. t = 0 is the identity and returns a copy of ``a`` without
     transforming it.
     """
     a = np.asarray(a, dtype=float)
@@ -108,32 +108,38 @@ def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
         raise ValueError("ltnn_prox expects a 3-way core")
     if t == 0:
         return a.copy()
-    r, r2 = a.shape[0], a.shape[2]
-    spec = np.fft.rfft(a, axis=1)
-    if r == 2 <= r2:
-        rebuilt = _two_row_prox(spec, t, eps, r2)
-    elif r2 == 2 < r:
-        # thresholding commutes with the transpose: rows of Xᵀ are X's columns
-        rebuilt = _two_row_prox(spec.transpose(2, 1, 0), t, eps, r).transpose(2, 1, 0)
+    # thresholding commutes with the transpose (the rows of Xᵀ are X's
+    # columns), so a tall core is thresholded as its transpose
+    tall = a.shape[0] > a.shape[2]
+    spec = np.fft.rfft(a.transpose(2, 1, 0) if tall else a, axis=1)
+    if spec.shape[0] == 2:
+        rebuilt = _two_row_prox(spec, t, eps)
     else:
         rebuilt = _gram_prox(spec.transpose(1, 0, 2), t, eps).transpose(1, 0, 2)
-    return np.fft.irfft(rebuilt, n=a.shape[1], axis=1)
+    out = np.fft.irfft(rebuilt, n=a.shape[1], axis=1)
+    return out.transpose(2, 1, 0) if tall else out
+
+
+def _gains(lam: np.ndarray, cols: int, t: float, eps: float) -> np.ndarray:
+    """Gains f(√λ)/√λ of Gram eigenvalues ``lam``, ascending along the last axis.
+
+    An eigenvalue at or below λ_max·ε·cols, with λ_max its slice's largest
+    and cols the slices' column count R', counts as σ = 0 and gets gain 0.
+    """
+    keep = lam > lam[..., -1:] * np.finfo(float).eps * cols
+    sigma = np.sqrt(np.where(keep, lam, 1.0))
+    return np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
 
 
 def _gram_prox(x: np.ndarray, t: float, eps: float) -> np.ndarray:
-    """Threshold the slices x (H, R, R') through one batched ``eigh``."""
-    wide = x.shape[1] <= x.shape[2]
-    xh = x.conj().swapaxes(1, 2)
-    lam, u = np.linalg.eigh(x @ xh if wide else xh @ x)
-    keep = lam > lam[:, -1:] * np.finfo(float).eps * max(x.shape[1], x.shape[2])
-    sigma = np.sqrt(np.where(keep, lam, 1.0))
-    gain = np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
-    m = (u * gain[:, None, :]) @ u.conj().swapaxes(1, 2)
-    return m @ x if wide else x @ m
+    """Threshold wide slices x (H, R, R'), R <= R', through one batched ``eigh``."""
+    lam, u = np.linalg.eigh(x @ x.conj().swapaxes(1, 2))
+    gain = _gains(lam, x.shape[2], t, eps)
+    return ((u * gain[:, None, :]) @ u.conj().swapaxes(1, 2)) @ x
 
 
-def _two_row_prox(y: np.ndarray, t: float, eps: float, long_side: int) -> np.ndarray:
-    """Threshold two-row slices y (2, H, long_side) in closed form.
+def _two_row_prox(y: np.ndarray, t: float, eps: float) -> np.ndarray:
+    """Threshold two-row slices y (2, H, R') in closed form.
 
     Row pair p = y[0], q = y[1] of each slice has the Gram matrix
     [[a, b], [b̄, d]], whose eigenvalues are (a+d)/2 ± r with
@@ -146,12 +152,10 @@ def _two_row_prox(y: np.ndarray, t: float, eps: float, long_side: int) -> np.nda
     a, d, b = gram[0, 0].real, gram[1, 1].real, gram[0, 1]
     half = (a - d) / 2
     r = np.hypot(half, np.abs(b))
-    lam = (a + d) / 2 + np.stack([r, -r])
-    keep = lam > lam[0] * np.finfo(float).eps * long_side
-    sigma = np.sqrt(np.where(keep, lam, 1.0))
-    gain = np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
-    mean = (gain[0] + gain[1]) / 2
-    slope = np.divide(gain[0] - gain[1], 2 * r, out=np.zeros_like(r), where=r > 0)
+    lam = (a + d)[:, None] / 2 + np.stack([-r, r], axis=1)
+    lo, hi = _gains(lam, y.shape[2], t, eps).T
+    mean = (hi + lo) / 2
+    slope = np.divide(hi - lo, 2 * r, out=np.zeros_like(r), where=r > 0)
     m = np.array([[mean + slope * half, slope * b],
                   [slope * b.conj(), mean - slope * half]])
     return np.einsum("ijh,jhl->ihl", m, y)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from trfuse.metrics import _check_pair, _mapped, reference_span
 from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
                          soft_shrink_weighted, update_weights)
 from trfuse.ring import TRFactors, compose
@@ -179,6 +180,14 @@ def cube_objective(f, y, z, model, cfg):
         if beta_eff != 0.0:
             val += beta_eff * ltnn_value(g, cfg.eps_log)
     return float(val)
+
+
+def rescale_pair(ref, est):
+    """Map the reference range onto [0, 255] and est by the same map, in
+    fresh C-order arrays, rounding as the metrics report maps each band."""
+    ref, est = _check_pair(ref, est)
+    lo, scale = reference_span(ref)
+    return _mapped(ref, lo, scale), _mapped(est, lo, scale)
 
 
 def einsum_sam(ref, est):

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import cyclic_shift
+from helpers import cyclic_shift, rescale_pair
 from trfuse.config import parse_experiment_config
 from trfuse.degradation import DegradationModel, degrade
 from trfuse.harness import (run_ablate, run_fuse, run_simulate, simulate_pair,
                             spectral_lift_baseline)
-from trfuse.metrics import ergas, psnr, rescale_pair, sam, ssim, uiqi
+from trfuse.metrics import ergas, psnr, sam, ssim, uiqi
 from trfuse.prox import log_threshold_scalar
 from trfuse.ring import TRFactors, compose, merge_cores, random_init
 from trfuse.solver import solve

@@ -14,10 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trfuse.metrics
-from helpers import einsum_sam
+from helpers import einsum_sam, rescale_pair
 from trfuse.metrics import (MetricsReport, _sam_from, _walk, ergas,
-                            metrics_report, psnr, psnr_per_band, rescale_pair,
-                            sam, ssim, uiqi, uiqi_per_band)
+                            metrics_report, psnr, psnr_per_band,
+                            reference_span, sam, ssim, uiqi, uiqi_per_band)
 
 PEAK = 255.0
 
@@ -332,7 +332,7 @@ def test_rescale_pair_affine_map():
     np.testing.assert_array_equal(est2, (est - ref.min()) * scale)
     assert ref2.flags.c_contiguous and est2.flags.c_contiguous
     with pytest.raises(ValueError, match="reference tensor is constant"):
-        rescale_pair(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
+        reference_span(np.ones((2, 2, 2)))
 
 
 def test_report_does_not_depend_on_the_layout():
