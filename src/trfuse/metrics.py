@@ -8,8 +8,11 @@ with (x - min) * 255 / (max - min) as it reads them. The single indices
 given, the same walk under the identity map. The walk makes no cube-sized
 copy, and every memory layout gives the same bits.
 
-Every index comes from one walk over the bands, one band per task, and every
-band is scored on a pool of threads, one per CPU the process may run on. A
+Every index comes from one walk over the bands, one band per task. The
+walk reads the estimate through a function of the band index, so an
+estimate can be made band by band and never held whole. Every band is scored
+on a pool of threads, one per CPU the process may run on, except by
+:func:`band_report`, which scores them in order on the calling thread. A
 task returns all a report takes from its band, and the walk takes the
 results in band order, adding each mapped pair into SAM's per-pixel sums, so
 no output depends on the number of threads.
@@ -29,6 +32,7 @@ at most a squared rounding error and UIQI skips the band.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import NamedTuple
@@ -72,10 +76,16 @@ def _mapped(x: np.ndarray, lo: float, scale: float) -> np.ndarray:
     return out
 
 
-def _score_band(ref: np.ndarray, est: np.ndarray, lo: float, scale: float,
+def _bands(cube: np.ndarray) -> Callable[[int], np.ndarray]:
+    """Band b of ``cube`` as a function of b."""
+    return lambda band: cube[:, :, band]
+
+
+def _score_band(ref: np.ndarray, est_band: Callable[[int], np.ndarray],
+                lo: float, scale: float,
                 band: int) -> tuple[tuple[float, float, float, float],
                                     np.ndarray, np.ndarray]:
-    """Everything a report takes from one band of a checked pair.
+    """Everything a report takes from one band of ref and ``est_band(band)``.
 
     Both bands are mapped into fresh C-order arrays, so the sums see the
     same contiguous band on any layout and give the same bits. Returns the
@@ -86,7 +96,7 @@ def _score_band(ref: np.ndarray, est: np.ndarray, lo: float, scale: float,
     try:
         with np.errstate(over="raise"):
             x = _mapped(ref[:, :, band], lo, scale)
-            y = _mapped(est[:, :, band], lo, scale)
+            y = _mapped(est_band(band), lo, scale)
             d = x - y
             sq_err = np.vdot(d, d)  # a BLAS sum, which raises nothing itself
             if np.isinf(sq_err):
@@ -176,19 +186,20 @@ class _BandScores(NamedTuple):
     xe: np.ndarray
 
 
-def _walk(ref: np.ndarray, est: np.ndarray,
-          lo: float = 0.0, scale: float = 1.0) -> _BandScores:
-    """Score every band of a checked pair mapped by (v - lo) * scale.
+def _walk(ref: np.ndarray, est_band: Callable[[int], np.ndarray],
+          lo: float = 0.0, scale: float = 1.0, map_=None) -> _BandScores:
+    """Score each band of ref against ``est_band(band)``, mapped by (v - lo) * scale.
 
-    The identity map (lo 0, scale 1) is exact. Every band goes to the pool
-    and is scored whole by one worker, and the walk takes the results in
-    band order, adding each mapped pair into SAM's per-pixel sums, so the
-    scores do not depend on the number of workers.
+    The identity map (lo 0, scale 1) is exact. Every band is scored whole by
+    one call of ``map_`` (the pool's by default; the builtin ``map`` scores
+    them in order on this thread), and the walk takes the results in band
+    order, adding each mapped pair into SAM's per-pixel sums, so the scores
+    do not depend on the number of workers.
     """
-    score = partial(_score_band, ref, est, lo, scale)
+    score = partial(_score_band, ref, est_band, lo, scale)
     xx, ee, xe, prod = (np.zeros(ref.shape[:2]) for _ in range(4))
     rows = []
-    for row, x, e in _pool().map(score, range(ref.shape[2])):
+    for row, x, e in (map_ or _pool().map)(score, range(ref.shape[2])):
         rows.append(row)
         xx += np.multiply(x, x, out=prod)
         ee += np.multiply(e, e, out=prod)
@@ -238,7 +249,7 @@ def _check_factor(factor: float) -> None:
 
 def psnr_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
     ref, est = _check_pair(ref, est)
-    return _psnr_from(_walk(ref, est), ref.shape[0] * ref.shape[1])
+    return _psnr_from(_walk(ref, _bands(est)), ref.shape[0] * ref.shape[1])
 
 
 def psnr(ref: np.ndarray, est: np.ndarray) -> float:
@@ -252,14 +263,14 @@ def ssim(ref: np.ndarray, est: np.ndarray) -> float:
     Bands narrower than the window fall back to global statistics.
     """
     ref, est = _check_pair(ref, est)
-    return float(np.mean(_walk(ref, est).ssim))
+    return float(np.mean(_walk(ref, _bands(est)).ssim))
 
 
 def ergas(ref: np.ndarray, est: np.ndarray, factor: float) -> float:
     """Relative global dimensionless synthesis error at resolution ratio ``factor``."""
     ref, est = _check_pair(ref, est)
     _check_factor(factor)
-    return _ergas_from(_walk(ref, est), ref.shape[0] * ref.shape[1], factor)
+    return _ergas_from(_walk(ref, _bands(est)), ref.shape[0] * ref.shape[1], factor)
 
 
 def sam(ref: np.ndarray, est: np.ndarray) -> float:
@@ -267,7 +278,8 @@ def sam(ref: np.ndarray, est: np.ndarray) -> float:
 
     nan on cubes with fewer than two bands, where no angle is defined.
     """
-    return _sam_from(_walk(*_check_pair(ref, est)))[0]
+    ref, est = _check_pair(ref, est)
+    return _sam_from(_walk(ref, _bands(est)))[0]
 
 
 def uiqi_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
@@ -277,7 +289,7 @@ def uiqi_per_band(ref: np.ndarray, est: np.ndarray) -> np.ndarray:
     use one global window. A band with no usable window yields nan.
     """
     ref, est = _check_pair(ref, est)
-    return _walk(ref, est).uiqi
+    return _walk(ref, _bands(est)).uiqi
 
 
 def uiqi(ref: np.ndarray, est: np.ndarray) -> float:
@@ -316,7 +328,28 @@ def metrics_report(ref: np.ndarray, est: np.ndarray, factor: float) -> MetricsRe
     """
     ref, est = _check_pair(ref, est)
     _check_factor(factor)
-    scores = _walk(ref, est, *reference_span(ref))
+    return _report(ref, _bands(est), factor)
+
+
+def band_report(ref: np.ndarray, est_band: Callable[[int], np.ndarray],
+                factor: float) -> MetricsReport:
+    """:func:`metrics_report` of the estimate whose band b is ``est_band(b)``.
+
+    ``est_band`` returns a 2-D array shaped like a band of ``ref``; each band
+    is asked for once, so the estimate need not exist as a cube. The bands
+    are scored in order on the calling thread, which starts no thread, and
+    the report has the bits :func:`metrics_report` gives the stacked cube.
+    """
+    ref = np.asarray(ref, dtype=float)
+    if ref.ndim != 3:
+        raise ValueError("metrics expect 3-way tensors")
+    _check_factor(factor)
+    return _report(ref, est_band, factor, map)
+
+
+def _report(ref: np.ndarray, est_band: Callable[[int], np.ndarray],
+            factor: float, map_=None) -> MetricsReport:
+    scores = _walk(ref, est_band, *reference_span(ref), map_)
     sam_value, skipped = _sam_from(scores)
     uiqi_value = _uiqi_from_bands(scores.uiqi)
     pixels = ref.shape[0] * ref.shape[1]

@@ -87,18 +87,35 @@ def compose(f: TRFactors) -> np.ndarray:
     return out
 
 
+def _transfer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The transfer matrix of cores p (Ra, I, Rb) and q (Rc, I, Rd).
+
+    It sums kron(p[:, i, :], q[:, i, :]) over the extent i: row ra·Rc + rc,
+    column rb·Rd + rd. O(I·R⁴) work, one GEMM over the extent.
+    """
+    return (np.tensordot(p, q, axes=(1, 1)).transpose(0, 2, 1, 3)
+            .reshape(p.shape[0] * q.shape[0], -1))
+
+
+def subchain_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """p pᵀ for the subchain matrix p = merge_cores(a, b), formed without p.
+
+    Entry (r·Rc + c, r'·Rc + c') sums a[r, j, m] b[m, k, c] a[r', j, m']
+    b[m', k, c'] over j, k, m and m', which is entry ((r, r'), (c, c')) of
+    the product of a's and b's transfer matrices with themselves.
+    """
+    ra, rc = a.shape[0], b.shape[2]
+    g = _transfer(a, a) @ _transfer(b, b)
+    return g.reshape(ra, ra, rc, rc).transpose(0, 2, 1, 3).reshape(ra * rc, ra * rc)
+
+
 def inner(f: TRFactors, g: TRFactors) -> float:
     """The inner product <compose(f), compose(g)>, formed without either cube.
 
-    Core n's transfer matrix sums kron(F_n[:, i, :], G_n[:, i, :]) over the
-    extent i, an (Ra·Rc, Rb·Rd) matrix for cores of ranks (Ra, Rb) and
-    (Rc, Rd); the inner product is the trace of the ring's product of the
-    three (Zhao et al., arXiv:1606.05535). O(I·R⁴) work per core, one GEMM
-    over the extent each.
+    It is the trace of the ring's product of the cores' transfer matrices
+    (Zhao et al., arXiv:1606.05535).
     """
-    a, b, c = (np.tensordot(p, q, axes=(1, 1)).transpose(0, 2, 1, 3)
-               .reshape(p.shape[0] * q.shape[0], -1)
-               for p, q in zip(f.cores, g.cores))
+    a, b, c = (_transfer(p, q) for p, q in zip(f.cores, g.cores))
     return float(np.trace(a @ b @ c))
 
 

@@ -42,15 +42,17 @@ The outer loop never forms the estimate. Its stop rule reads the relative
 change ||x - x_prev|| / ||x|| from ring inner products of the cores
 (:func:`trfuse.ring.inner`), expanding the squared difference as
 ||x||² + ||x_prev||² - 2 <x, x_prev>, and the fused cube is composed once,
-after the loop. The observations are unfolded along each mode once per
-solve. The objective's data terms are quadratic in core 3's unfolding G, and
-block 3's system is built from the updated cores 1 and 2, so after block 3
+after the loop. The block systems read the observations only through views
+of the C-order cubes (:func:`_observation_term`), so the loop copies
+neither. The objective's data terms are quadratic in core 3's unfolding G,
+and block 3's system is built from the updated cores 1 and 2, so after block 3
 they read ½||y||² + ½ lam ||z||² + ½ <G, Q G> - <b, G> from that system's
 operator Q (less its anchor and splitting parts) and data right-hand side b.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from collections.abc import Callable
@@ -60,7 +62,8 @@ import numpy as np
 
 from .degradation import DegradationModel
 from .prox import ltnn_prox, ltnn_value, soft_shrink_weighted, update_weights
-from .ring import TRFactors, _validate_ranks, compose, inner, merge_cores, tr_svd_init
+from .ring import (TRFactors, _validate_ranks, compose, inner, merge_cores,
+                   subchain_gram, tr_svd_init)
 from .tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
@@ -241,13 +244,23 @@ def block_constants(n: int, model: DegradationModel, cfg: SolverConfig
     return a1, np.linalg.eigh(a1)
 
 
-def unfold_observations(y: np.ndarray, z: np.ndarray
-                        ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The unfoldings of y and of z along modes 0, 1 and 2.
+def _observation_term(obs: np.ndarray, n: int, a: np.ndarray, b: np.ndarray
+                      ) -> np.ndarray:
+    """unfold(obs, n) @ merge_cores(a, b).T, reading obs only through views.
 
-    On C-order cubes modes 0 and 2 are views; mode 1 is a copy.
+    a and b are the cores of modes n + 1 and n + 2 as obs sees them. On a
+    C-order obs the unfoldings along modes 0 and 2 are views, but along
+    mode 1 a copy, so there obs is contracted along mode 0 first, with b,
+    and the result, whose rows run over (i1, i2), with a, one small product
+    per i1. Neither the unfolding nor the subchain matrix is formed.
     """
-    return tuple(tuple(unfold(t, n) for n in range(3)) for t in (y, z))
+    if n != 1:
+        return unfold(obs, n) @ merge_cores(a, b).T
+    ra, rb, rc = a.shape[0], b.shape[0], b.shape[2]
+    # t[(i1, i2), (m, c)] = sum over i0 of obs[i0, i1, i2] b[m, i0, c]
+    t = unfold(obs, 0).T @ b.transpose(1, 0, 2).reshape(b.shape[1], rb * rc)
+    t = t.reshape(obs.shape[1], -1, rc)
+    return np.matmul(a.reshape(ra, -1), t).reshape(obs.shape[1], ra * rc)
 
 
 @dataclass(frozen=True)
@@ -275,33 +288,34 @@ class BlockSystem:
         return out
 
 
-def _block_system(n: int, cores, unfolded, model: DegradationModel,
+def _block_system(n: int, cores, observations, model: DegradationModel,
                   cfg: SolverConfig, consts) -> BlockSystem:
     """Block n's quadratic-step system at ``cores``.
 
-    ``unfolded`` is :func:`unfold_observations` of (y, z), and ``consts`` is
-    :func:`block_constants` of block n. Each observation, with weight 1 for y
-    and lam for z, contributes through its subchain matrix p: the cores other
-    than n merged in cyclic order, each degraded by that observation's
-    operator on its mode, so the observation's unfolding factors as
-    U (G_n's unfolding) p. The observation that degrades core n gives the
-    two-sided term w UᵀU g ppᵀ; the other gives w g ppᵀ. Each unfolding is
-    contracted with the narrow p before Uᵀ is applied, which keeps every
-    intermediate as small as the core's unfolding.
+    ``observations`` is (y, z), and ``consts`` is :func:`block_constants` of
+    block n. Each observation, with weight 1 for y and lam for z, contributes
+    through its subchain matrix p: the cores other than n merged in cyclic
+    order, each degraded by that observation's operator on its mode, so the
+    observation's unfolding factors as U (G_n's unfolding) p. The
+    observation that degrades core n gives the two-sided term w UᵀU g ppᵀ;
+    the other gives w g ppᵀ. The Gram ppᵀ comes from the cores' transfer
+    matrices (:func:`trfuse.ring.subchain_gram`), and each observation is
+    contracted with the narrow p (:func:`_observation_term`) before Uᵀ is
+    applied, which keeps every intermediate as small as the core's unfolding.
     """
     a1, a1_eig = consts
     rest = ((n + 1) % 3, (n + 2) % 3)
     rhs = []
-    for obs, ops, w in zip(unfolded, model.mode_operators, (1.0, cfg.lam)):
+    for obs, ops, w in zip(observations, model.mode_operators, (1.0, cfg.lam)):
         a, b = (cores[m] if ops[m] is None else mode_n_product(cores[m], ops[m], 1)
                 for m in rest)
-        p = merge_cores(a, b)
-        term = obs[n] @ p.T
+        term = _observation_term(obs, n, a, b)
+        gram = subchain_gram(a, b)
         if ops[n] is None:
-            e = w * (p @ p.T) + (cfg.eta + cfg.mu) * np.eye(len(p))
+            e = w * gram + (cfg.eta + cfg.mu) * np.eye(len(gram))
             rhs.append(w * term)
         else:
-            b1 = p @ p.T
+            b1 = gram
             rhs.append(w * (ops[n].T @ term))
     return BlockSystem(a1=a1, b1=b1, e=e, mu=cfg.mu, rhs=rhs[0] + rhs[1],
                        precondition=sylvester_preconditioner(a1_eig, b1, e))
@@ -406,6 +420,22 @@ def initial_factors(y: np.ndarray, z: np.ndarray, cfg: SolverConfig) -> TRFactor
     return TRFactors((*fz.cores[:2], fy.cores[2]))
 
 
+def _release_freed_heap() -> None:
+    """Return the C heap's free pages to the OS, where the C library can.
+
+    glibc trims the top of its main heap only when the free space there
+    passes a threshold, so whether memory freed by the init or the solve
+    stays resident depends on a few hundred KiB of allocations;
+    malloc_trim(0) releases it whatever the layout, in every arena. Other C
+    libraries lack the symbol, and nothing is done.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
 def check_observations(y: np.ndarray, z: np.ndarray, model: DegradationModel
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Return y and z as float arrays, or raise ValueError.
@@ -442,9 +472,10 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
     ring inner products of the cores and the objective from block 3's
     system, so the loop forms no cube; the fused cube is composed once, on
     return. k_max = 0 returns the composed initialization with an empty
-    history. Inputs that check_observations rejects raise ValueError before
-    any work starts; non-finite objectives or a collapsed estimate raise
-    SolverDivergenceError.
+    history. The heap the init freed is returned to the OS before the loop
+    (:func:`_release_freed_heap`). Inputs that check_observations rejects
+    raise ValueError before any work starts; non-finite objectives or a
+    collapsed estimate raise SolverDivergenceError.
     """
     y, z = check_observations(y, z, model)
     if init_factors_override is not None:
@@ -454,9 +485,11 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
                              f"{(z.shape[0], z.shape[1], y.shape[2])}")
     else:
         f = initial_factors(y, z, cfg)
+        # the init's temporaries are freed; keep the loop and the final
+        # compose from growing the heap on top of them
+        _release_freed_heap()
     cores = list(f.cores)
     consts = [block_constants(n, model, cfg) for n in range(3)]
-    unfolded = unfold_observations(y, z)
     data_sq = 0.5 * (float(np.vdot(y, y)) + cfg.lam * float(np.vdot(z, z)))
     new_sq = inner(f, f)
 
@@ -466,7 +499,7 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
         prev, prev_sq = f, new_sq
         cg_log: list[tuple[int, float]] = []
         for n in range(3):
-            system = _block_system(n, cores, unfolded, model, cfg, consts[n])
+            system = _block_system(n, cores, (y, z), model, cfg, consts[n])
             update_block(n, cores, system, cfg, cg_log)
         f = TRFactors(tuple(cores))
         new_sq = inner(f, f)

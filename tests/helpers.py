@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from trfuse.harness import spectral_lift
 from trfuse.metrics import _check_pair, _mapped, reference_span
 from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
                          soft_shrink_weighted, update_weights)
@@ -22,6 +23,13 @@ def bench_oracle():
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
     return oracle
+
+
+def spectral_lift_baseline(z, model):
+    """The baseline ``fuse`` scores, as the (W, H, B) cube the bands of
+    :func:`trfuse.harness.spectral_lift` stack into, stored band-major."""
+    band = spectral_lift(z, model)
+    return np.stack([band(b) for b in range(model.u3.shape[1])]).transpose(1, 2, 0)
 
 
 def dense_difference(extent):

@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import cyclic_shift, rescale_pair
+from helpers import cyclic_shift, rescale_pair, spectral_lift_baseline
 from trfuse.config import parse_experiment_config
 from trfuse.degradation import DegradationModel, degrade
-from trfuse.harness import (run_ablate, run_fuse, run_simulate, simulate_pair,
-                            spectral_lift_baseline)
+from trfuse.harness import run_ablate, run_fuse, run_simulate, simulate_pair
 from trfuse.metrics import ergas, psnr, sam, ssim, uiqi
 from trfuse.prox import log_threshold_scalar
 from trfuse.ring import TRFactors, compose, merge_cores, random_init

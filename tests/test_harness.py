@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -18,20 +19,20 @@ import pytest
 
 import trfuse.cli
 import trfuse.harness
+import trfuse.solver
 from trfuse.cli import main
 from trfuse.config import ConfigError, parse_experiment_config
 from trfuse.degradation import degrade
 from trfuse.harness import (ABLATION_VARIANTS, DataError, build_model,
                             load_inputs, run_ablate, run_fuse, run_metrics,
-                            run_simulate, simulate_pair,
-                            spectral_lift_baseline)
+                            run_simulate, simulate_pair, spectral_lift)
 from trfuse.metrics import metrics_report
 from trfuse.ring import TRFactors, compose, random_init
 from trfuse.solver import SolverDivergenceError
 from trfuse.tensor import mode_n_product
 from trfuse.tnsr import TnsrError, read_tnsr, write_tnsr
 
-from helpers import bench_oracle
+from helpers import bench_oracle, spectral_lift_baseline
 
 SRC = Path(trfuse.harness.__file__).resolve().parents[1]
 
@@ -158,17 +159,36 @@ def test_run_fuse_releases_the_freed_heap_after_solve_and_scoring(
         gt_file, tmp_path, monkeypatch):
     out = tmp_path / "fused"
     seen = []
+    written = ("xhat.tnsr", "metrics.json", "error_tensor.tnsr", "baseline.json")
 
     class Libc:
         def malloc_trim(self, pad):
-            seen.append((pad, (out / "xhat.tnsr").exists(),
-                         (out / "metrics.json").exists()))
+            seen.append((pad, *((out / name).exists() for name in written)))
             return 1
 
-    monkeypatch.setattr(trfuse.harness.ctypes, "CDLL", lambda name: Libc())
+    def stage(name, fn, before=False):
+        def staged(*args, **kwargs):
+            if before and name not in seen:
+                seen.append(name)
+            result = fn(*args, **kwargs)
+            if not before:
+                seen.append(name)
+            return result
+        return staged
+
+    monkeypatch.setattr(trfuse.solver.ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(trfuse.solver, "initial_factors",
+                        stage("init", trfuse.solver.initial_factors))
+    monkeypatch.setattr(trfuse.solver, "_block_system",
+                        stage("loop", trfuse.solver._block_system, before=True))
+    monkeypatch.setattr(trfuse.harness, "solve", stage("solved", trfuse.harness.solve))
     run_fuse(_base_config(gt_file), out)
-    # once the solve returns, before any output; once both reports are made
-    assert seen == [(0, False, False), (0, True, True)]
+    # in solve right after the init, before the loop; once the solve
+    # returns, before any output; once the error cube is written, with both
+    # reports made, before the baseline's is written
+    nothing = (0, False, False, False, False)
+    assert seen == ["init", nothing, "loop", "solved", nothing,
+                    (0, True, True, True, False)]
 
 
 def _no_libc(name):
@@ -178,36 +198,84 @@ def _no_libc(name):
 @pytest.mark.parametrize("cdll", [lambda name: object(), _no_libc],
                          ids=["no-malloc-trim", "no-libc"])
 def test_run_fuse_without_malloc_trim(gt_file, tmp_path, monkeypatch, cdll):
-    monkeypatch.setattr(trfuse.harness.ctypes, "CDLL", cdll)
+    looked_up = []
+
+    def counted(name):
+        looked_up.append(name)
+        return cdll(name)
+
+    monkeypatch.setattr(trfuse.solver.ctypes, "CDLL", counted)
     out = tmp_path / "fused"
     summary = run_fuse(_base_config(gt_file), out)
     assert set(summary["baseline"]) == set(summary["metrics"])
     assert (out / "baseline.json").exists()
+    # each trim site, the solve's after the init and run_fuse's two, went
+    # without the symbol
+    assert looked_up == [None] * 3
 
 
 def test_run_fuse_scores_with_few_cubes_live(tmp_path, monkeypatch):
-    gt = _phantom(dims=(32, 32, 16))
+    # many bands, so the temporaries of a band's scores (tens of bands'
+    # worth, for the filters) are small beside a cube
+    gt = _phantom(dims=(32, 32, 128))
     write_tnsr(tmp_path / "gt.tnsr", gt)
     cube_bytes = gt.nbytes
     del gt
-    live, cubes = [], []
+    live, cubes, growth = {}, {}, {}
+    scored = threading.Event()
 
-    def report_at_entry(*args, **kwargs):
-        live.append(tracemalloc.get_traced_memory()[0])
-        blocks = tracemalloc.take_snapshot().traces
-        cubes.append(sum(t.size >= cube_bytes for t in blocks))
-        return metrics_report(*args, **kwargs)
+    def at(stage):
+        live[stage] = tracemalloc.get_traced_memory()[0]
+        cubes[stage] = sum(t.size >= cube_bytes
+                           for t in tracemalloc.take_snapshot().traces)
+        tracemalloc.reset_peak()
 
-    monkeypatch.setattr(trfuse.harness, "metrics_report", report_at_entry)
+    def grown(stage):
+        growth[stage] = tracemalloc.get_traced_memory()[1] - live[stage]
+
+    def baseline(*args, **kwargs):
+        at("baseline")
+        try:
+            return band_report(*args, **kwargs)
+        finally:
+            grown("baseline")
+            scored.set()
+
+    def solve_after_the_baseline(*args, **kwargs):
+        # the baseline's stage alone on the traced heap
+        assert scored.wait(60)
+        return solve(*args, **kwargs)
+
+    def report(*args, **kwargs):
+        at("fused report")
+        result = metrics_report(*args, **kwargs)
+        at("fused report made")
+        return result
+
+    def write(path, array):
+        if path.name == "error_tensor.tnsr":
+            grown("fused report made")
+            at("error write")
+        return write_tnsr(path, array)
+
+    band_report = trfuse.harness.band_report
+    solve = trfuse.harness.solve
+    monkeypatch.setattr(trfuse.harness, "band_report", baseline)
+    monkeypatch.setattr(trfuse.harness, "solve", solve_after_the_baseline)
+    monkeypatch.setattr(trfuse.harness, "metrics_report", report)
+    monkeypatch.setattr(trfuse.harness, "write_tnsr", write)
     tracemalloc.start()
     try:
         run_fuse(_base_config(tmp_path / "gt.tnsr"), tmp_path / "fused")
     finally:
         tracemalloc.stop()
-    # the fused report, then the baseline's: the ground truth and the scored
-    # cube, in their own units, with z and the model beside them
-    assert cubes == [2, 2]
-    assert max(live) < 4 * cube_bytes
+    # the baseline is lifted band by band beside the ground truth alone; the
+    # fused report adds the fused cube, which then holds the error cube
+    assert cubes == {"baseline": 1, "fused report": 2, "fused report made": 2,
+                     "error write": 2}
+    assert growth["baseline"] < cube_bytes / 2
+    assert growth["fused report made"] < cube_bytes / 2
+    assert max(live.values()) < 3 * cube_bytes
 
 
 def test_run_fuse_without_ground_truth_skips_scoring(gt_file, tmp_path):
@@ -325,12 +393,83 @@ def test_spectral_lift_baseline_shape(gt_file):
     cfg = _base_config(gt_file)
     gt = read_tnsr(gt_file)
     model, y, z = simulate_pair(gt, cfg)
-    lifted = spectral_lift_baseline(z, model)
-    assert lifted.shape == (16, 16, 8)
-    # stored band-major, as the contraction leaves it: no copy to C order
-    assert all(lifted[:, :, b].flags.c_contiguous for b in range(8))
+    band = spectral_lift(z, model)
+    # the pseudo-inverse along mode 2, one fresh C-order band at a time,
+    # with the bits of the whole-cube product
     want = mode_n_product(z, np.linalg.pinv(model.u3), 2)
-    np.testing.assert_array_equal(lifted, want)
+    for b in range(8):
+        lifted = band(b)
+        assert lifted.shape == (16, 16) and lifted.flags.c_contiguous
+        np.testing.assert_array_equal(lifted, want[:, :, b])
+
+
+def test_baseline_report_is_the_report_of_the_lifted_cube(gt_file, tmp_path):
+    # scored band by band on the worker, the baseline has the bits the
+    # pooled report gives the lifted cube
+    cfg = _base_config(gt_file)
+    out = tmp_path / "fused"
+    run_fuse(cfg, out)
+    gt, model, y, z = load_inputs(cfg)
+    want = metrics_report(gt, spectral_lift_baseline(z, model), cfg.factor)
+    got = json.loads((out / "baseline.json").read_text())["metrics"]
+    assert got == want.scalars()
+
+
+def test_divergence_while_the_baseline_is_scored_exit_4(gt_file, tmp_path,
+                                                        capsys, monkeypatch):
+    # the solve fails while the worker scores: exit 4, the worker joined
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+         "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}))
+    before = set(threading.enumerate())
+    during = []
+    diverged = threading.Event()
+    band_report = trfuse.harness.band_report
+
+    def held(*args, **kwargs):
+        # still scoring when the solve fails
+        assert diverged.wait(60)
+        return band_report(*args, **kwargs)
+
+    def diverge(*args, **kwargs):
+        during.append(set(threading.enumerate()) - before)
+        diverged.set()
+        raise SolverDivergenceError("diverged during the baseline")
+
+    monkeypatch.setattr(trfuse.harness, "band_report", held)
+    monkeypatch.setattr(trfuse.harness, "solve", diverge)
+    assert main(["fuse", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "diverged during the baseline" in capsys.readouterr().err
+    assert len(during) == 1 and len(during[0]) == 1
+    assert not any(t.is_alive() for t in during[0])
+    assert set(threading.enumerate()) <= before
+    assert not (tmp_path / "o").exists()
+
+
+def test_baseline_band_that_cannot_be_scored_exit_3_after_fused_outputs(
+        gt_file, tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"ground_truth": str(gt_file), "factor": 2, "msi_bands": 4,
+         "kernel_size": 3, "ranks": [2, 3, 2], "k_max": 1}))
+    lift = trfuse.harness.spectral_lift
+
+    def overflowing(z, model):
+        band = lift(z, model)
+        return lambda b: band(b) * (1e300 if b == 2 else 1.0)
+
+    monkeypatch.setattr(trfuse.harness, "spectral_lift", overflowing)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["fuse", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 3
+    assert "band 2 cannot be scored: overflow" in capsys.readouterr().err
+    for name in ("xhat.tnsr", "convergence.csv", "metrics.json",
+                 "per_band.csv", "error_tensor.tnsr"):
+        assert (out / name).exists(), name
+    assert not (out / "baseline.json").exists()
 
 
 def test_run_ablate_rows_and_table(gt_file, tmp_path):
@@ -764,9 +903,13 @@ def test_cli_metrics_reproduces_the_fuse_report(gt_file, tmp_path):
     assert got == want
 
 
-def test_cli_overflowing_observations_exit_3(tmp_path, capsys):
+def test_cli_overflowing_observations_exit_3(tmp_path, capsys, monkeypatch):
     # finite ground truth whose signal power overflows, so the simulated
-    # noise, and with it y and z, is non-finite
+    # noise, and with it y and z, is non-finite; no baseline is scored
+    def no_baseline(*args, **kwargs):
+        raise AssertionError("scored the baseline of a non-finite z")
+
+    monkeypatch.setattr(trfuse.harness, "band_report", no_baseline)
     write_tnsr(tmp_path / "gt.tnsr", 1e200 * _phantom())
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(

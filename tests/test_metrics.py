@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import trfuse.metrics
 from helpers import einsum_sam, rescale_pair
-from trfuse.metrics import (MetricsReport, _sam_from, _walk, ergas,
+from trfuse.metrics import (MetricsReport, _bands, _sam_from, _walk, ergas,
                             metrics_report, psnr, psnr_per_band,
                             reference_span, sam, ssim, uiqi, uiqi_per_band)
 
@@ -293,7 +293,7 @@ def test_sam_matches_the_per_spectrum_oracle(dims, zeros, equal, seed):
     # a pair with no spectrum nonzero in both cubes has no SAM
     assume(np.any(np.any(ref, axis=2) & np.any(est, axis=2)))
     want, skipped = einsum_sam(ref, est)
-    got, got_skipped = _sam_from(_walk(ref, est))
+    got, got_skipped = _sam_from(_walk(ref, _bands(est)))
     assert got_skipped == skipped
     if np.isnan(want):
         assert np.isnan(got)
@@ -424,7 +424,7 @@ def test_sam_of_bit_equal_spectra_on_the_pool():
     est[0, 0, 2] = -0.0  # equal to +0, though not in its bits
     # value-equal spectra, signed zeros included, leave x·x, e·e and x·e
     # bit-equal, and here no other spectrum does
-    scores = _walk(ref, est)
+    scores = _walk(ref, _bands(est))
     np.testing.assert_array_equal(
         (scores.xe == scores.xx) & (scores.xe == scores.ee), copied)
     want, _ = einsum_sam(ref, est)

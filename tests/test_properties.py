@@ -16,7 +16,7 @@ from trfuse.ring import (TRFactors, _sequential_svd, compose, inner, merge_cores
                          random_init, tr_svd_init)
 from trfuse.solver import (SolverConfig, SolverDivergenceError, _block_system,
                            _diff, _diff_t, block_constants, initial_factors,
-                           solve, unfold_observations, update_block)
+                           solve, update_block)
 from trfuse.tensor import fold, mode_n_product, unfold
 
 from helpers import (dense_difference, diff_along, diff_t_along,
@@ -178,9 +178,8 @@ def test_update_block_is_bit_equal_to_the_reference(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cores = list(initial_factors(y, z, cfg).cores)
-    unfolded = unfold_observations(y, z)
     for n in range(3):
-        system = _block_system(n, cores, unfolded, model, cfg,
+        system = _block_system(n, cores, (y, z), model, cfg,
                                block_constants(n, model, cfg))
         want_cores, want_log, got_log = list(cores), [], []
         want = reference_update_block(n, want_cores, system, cfg, want_log)
@@ -218,7 +217,7 @@ def test_preconditioner_inverts_the_two_term_part(dims, observed, ranks, seed,
              for n in range(3)]
     cfg = SolverConfig(ranks=ranks, lam=lam, eta=eta, mu=mu)
     for n in range(3):
-        op = _block_system(n, cores, unfold_observations(y, z), model, cfg,
+        op = _block_system(n, cores, (y, z), model, cfg,
                            block_constants(n, model, cfg))
         r = rng.standard_normal((dims[n], ranks[n] * ranks[(n + 1) % 3]))
         g = op.precondition(r)
