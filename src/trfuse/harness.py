@@ -18,9 +18,10 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig
 from .degradation import DegradationModel, add_noise, degrade
 from .metrics import MetricsReport, band_report, metrics_report, reference_span
+from .ring import compose, compose_slabs
 from .solver import (FusionResult, _release_freed_heap, check_observations,
                      initial_factors, solve)
-from .tnsr import read_tnsr, write_tnsr
+from .tnsr import read_tnsr, write_tnsr, write_tnsr_slabs
 
 
 class DataError(Exception):
@@ -197,20 +198,22 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
     A ground truth no report can score is refused before the solve, and so,
     given a ground truth, are observations the solve would refuse. The
     baseline reads only the ground truth and z, so it is scored during the
-    solve, band by band on one worker thread, which is joined before the
-    fused report, however the solve ends; a baseline that cannot be scored
-    is reported after the fused outputs are written. No thread starts
-    without a ground truth. Each report scores against the ground truth in
-    their own units and the baseline is lifted one band at a time, so the
-    ground truth is the only cube-sized array live while the baseline is
-    scored, and the fused report adds the fused cube, into which the error
-    cube is then written. The heap the solve freed is returned to the OS
-    before the output is written, and the free pages of every arena once
-    the error cube is written.
+    solve, band by band on one worker thread, which is joined once the
+    fused outputs are written, however the solve ends; a baseline that
+    cannot be scored is reported after the fused report. No thread starts
+    without a ground truth.
 
-    On the 256×256×64 benchmark scene, at one BLAS thread, the resident set
-    reads 139.0–141.2 MiB at the final ``compose``, which sets the peak, and
-    135.7–140.4 MiB after the fused report and at the error cube's write.
+    The solve returns the ring, and ``xhat.tnsr`` is written from its
+    mode-0 row slabs (:func:`trfuse.ring.compose_slabs`), so a fuse without
+    a ground truth never holds the fused cube. With one, the cube is
+    composed after the join, from the same slabs, so the scores and the
+    error cube read the bits that ``xhat.tnsr`` holds. Each report scores
+    against the ground truth in their own units and the baseline is lifted
+    one band at a time, so the ground truth is the only cube-sized array
+    live while the baseline is scored, and the fused report adds the fused
+    cube, into which the error cube is then written. The heap the solve
+    freed is returned to the OS after the join, and the free pages of every
+    arena once the error cube is written.
     """
     out = _check_out(out_dir)
     gt, model, y, z = load_inputs(cfg)
@@ -228,27 +231,28 @@ def run_fuse(cfg: ExperimentConfig, out_dir) -> dict:
         with _data_errors():
             result = solve(y, z, model, cfg.solver)
         del y, z
-        _release_freed_heap()
         _prepare_out(out)
-        write_tnsr(out / "xhat.tnsr", result.fused)
+        write_tnsr_slabs(out / "xhat.tnsr", result.factors.dims,
+                         compose_slabs(result.factors))
         _write_convergence(out / "convergence.csv", result)
+    _release_freed_heap()
     summary: dict = {"out": str(out), "iterations": len(result.history),
                      "cg_iters": sum(h.cg_iters for h in result.history),
                      "cg_capped": sum(h.cg_capped for h in result.history),
                      "effective_ranks": list(result.factors.ranks)}
     if gt is None:
         return summary
+    fused = compose(result.factors)
     with _data_errors():
-        report = metrics_report(gt, result.fused, cfg.factor)
+        report = metrics_report(gt, fused, cfg.factor)
     _write_json(out / "metrics.json",
                 {"metrics": report.scalars(),
                  "effective_ranks": summary["effective_ranks"],
                  "config": cfg.as_dict()})
     _write_per_band(out / "per_band.csv", report)
     # the fused cube is written and scored, so it can hold the error
-    write_tnsr(out / "error_tensor.tnsr",
-               np.subtract(result.fused, gt, out=result.fused))
-    del result
+    write_tnsr(out / "error_tensor.tnsr", np.subtract(fused, gt, out=fused))
+    del fused
     _release_freed_heap()
     with _data_errors():
         base_report = baseline.result()
@@ -290,7 +294,7 @@ def run_ablate(cfg: ExperimentConfig, out_dir) -> list[dict]:
         scfg = replace(cfg.solver, **overrides)
         with _data_errors():
             result = solve(y, z, model, scfg, init_factors_override=init)
-            report = metrics_report(gt, result.fused, cfg.factor)
+            report = metrics_report(gt, compose(result.factors), cfg.factor)
         row = {"variant": name, "alpha": scfg.alpha}
         for i in range(3):
             row[f"beta_core{i + 1}"] = scfg.beta * scfg.beta_scales[i]

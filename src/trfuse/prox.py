@@ -84,15 +84,17 @@ def log_threshold_scalar(s, t: float, eps: float):
     if eps <= 0:
         raise ValueError("log offset eps must be positive")
     s_arr = np.asarray(s, dtype=float)
-    a = np.abs(s_arr)
-    c1 = a - eps
-    c2 = c1 * c1 - 4.0 * (t - eps * a)
-    out = np.where(c2 > 0,
-                   np.sign(s_arr) * (c1 + np.sqrt(np.maximum(c2, 0.0))) / 2.0,
-                   0.0)
+    out = np.sign(s_arr) * _log_threshold(np.abs(s_arr), t, eps)
     if np.isscalar(s) or np.ndim(s) == 0:
         return float(out)
     return out
+
+
+def _log_threshold(a: np.ndarray, t: float, eps: float) -> np.ndarray:
+    """:func:`log_threshold_scalar` of nonnegative ``a``, with no checks."""
+    c1 = a - eps
+    c2 = c1 * c1 - 4.0 * (t - eps * a)
+    return np.where(c2 > 0, (c1 + np.sqrt(np.maximum(c2, 0.0))) / 2.0, 0.0)
 
 
 def ltnn_prox(a: np.ndarray, t: float, eps: float) -> np.ndarray:
@@ -128,7 +130,7 @@ def _gains(lam: np.ndarray, cols: int, t: float, eps: float) -> np.ndarray:
     """
     keep = lam > lam[..., -1:] * np.finfo(float).eps * cols
     sigma = np.sqrt(np.where(keep, lam, 1.0))
-    return np.where(keep, log_threshold_scalar(sigma, t, eps) / sigma, 0.0)
+    return np.where(keep, _log_threshold(sigma, t, eps) / sigma, 0.0)
 
 
 def _gram_prox(x: np.ndarray, t: float, eps: float) -> np.ndarray:

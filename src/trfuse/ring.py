@@ -18,6 +18,7 @@ each core in turn.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,16 +75,44 @@ def merge_cores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None], b.transpose(2, 0, 1)).reshape(ra * rc, j * k)
 
 
+# the most bytes of the composed cube in one mode-0 row slab, which holds at
+# least one row: small beside a cube worth streaming
+SLAB_BYTES = 1 << 20
+
+
+def compose_slabs(f: TRFactors, out: np.ndarray | None = None
+                  ) -> Iterator[np.ndarray]:
+    """Yield the cube of ``f`` as consecutive mode-0 row slabs, in order.
+
+    Each slab holds as many rows as fit in ``SLAB_BYTES``, the last one the
+    rest, and is the ring unfolding identity at mode 0 over those rows of
+    ``unfold(G1, 1)``. The slabs are written into one reused buffer or,
+    given the C-ordered cube ``out``, into its own rows, as :func:`compose`
+    does. Both take the same products: BLAS rounds a product by its row
+    count, so only one partition of the rows gives the bits of
+    :func:`compose`.
+    """
+    g0, g1, g2 = f.cores
+    i1, i2, i3 = f.dims
+    left, merged = unfold(g0, 1), merge_cores(g1, g2)
+    step = max(1, SLAB_BYTES // (8 * i2 * i3))
+    rows = np.empty((min(step, i1), i2 * i3)) if out is None else unfold(out, 0)
+    for start in range(0, i1, step):
+        part = left[start:start + step]
+        at = 0 if out is None else start
+        yield np.matmul(part, merged, out=rows[at:at + len(part)]).reshape(
+            len(part), i2, i3)
+
+
 def compose(f: TRFactors) -> np.ndarray:
     """Evaluate the full tensor from its ring cores.
 
-    The ring unfolding identity at mode 0, ``unfold(X, 0)`` being a view of
-    the C-ordered cube: the product is written straight into the cube, the
-    only cube-sized allocation.
+    The slabs of :func:`compose_slabs` are written straight into the
+    C-ordered cube, the only cube-sized allocation.
     """
-    g0, g1, g2 = f.cores
     out = np.empty(f.dims)
-    np.matmul(unfold(g0, 1), merge_cores(g1, g2), out=unfold(out, 0))
+    for _ in compose_slabs(f, out):
+        pass
     return out
 
 

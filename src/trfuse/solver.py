@@ -41,13 +41,14 @@ two iterations per solve at the default weights.
 The outer loop never forms the estimate. Its stop rule reads the relative
 change ||x - x_prev|| / ||x|| from ring inner products of the cores
 (:func:`trfuse.ring.inner`), expanding the squared difference as
-||x||² + ||x_prev||² - 2 <x, x_prev>, and the fused cube is composed once,
-after the loop. The block systems read the observations only through views
-of the C-order cubes (:func:`_observation_term`), so the loop copies
-neither. The objective's data terms are quadratic in core 3's unfolding G,
-and block 3's system is built from the updated cores 1 and 2, so after block 3
-they read ½||y||² + ½ lam ||z||² + ½ <G, Q G> - <b, G> from that system's
-operator Q (less its anchor and splitting parts) and data right-hand side b.
+||x||² + ||x_prev||² - 2 <x, x_prev>, and the solve returns the final
+cores without composing them. The block systems read the observations only
+through views of the C-order cubes (:func:`_observation_term`), so the loop
+copies neither. The objective's data terms are quadratic in core 3's
+unfolding G, and block 3's system is built from the updated cores 1 and 2,
+so after block 3 they read ½||y||² + ½ lam ||z||² + ½ <G, Q G> - <b, G>
+from that system's operator Q (less its anchor and splitting parts) and
+data right-hand side b.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ import numpy as np
 
 from .degradation import DegradationModel
 from .prox import ltnn_prox, ltnn_value, soft_shrink_weighted, update_weights
-from .ring import (TRFactors, _validate_ranks, compose, inner, merge_cores,
-                   subchain_gram, tr_svd_init)
+from .ring import (TRFactors, _validate_ranks, inner, merge_cores, subchain_gram,
+                   tr_svd_init)
 from .tensor import fold, frobenius_norm, l1_norm, mode_n_product, unfold
 
 
@@ -135,7 +136,8 @@ class IterationRecord:
 
 @dataclass
 class FusionResult:
-    fused: np.ndarray
+    """The final ring cores, whose cube is the fused estimate, and the history."""
+
     factors: TRFactors
     history: list[IterationRecord]
 
@@ -465,17 +467,19 @@ def check_observations(y: np.ndarray, z: np.ndarray, model: DegradationModel
 def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
           cfg: SolverConfig, init_factors_override: TRFactors | None = None
           ) -> FusionResult:
-    """Run the full outer loop and return the fused cube with its history.
+    """Run the full outer loop and return the final cores with the history.
 
     Stops when the relative change of the composed estimate falls to
     stop_tol, or after k_max outer iterations. That change is taken from
     ring inner products of the cores and the objective from block 3's
-    system, so the loop forms no cube; the fused cube is composed once, on
-    return. k_max = 0 returns the composed initialization with an empty
-    history. The heap the init freed is returned to the OS before the loop
-    (:func:`_release_freed_heap`). Inputs that check_observations rejects
-    raise ValueError before any work starts; non-finite objectives or a
-    collapsed estimate raise SolverDivergenceError.
+    system, so the solve composes nothing: the caller composes the fused
+    cube from ``factors``, whole (:func:`trfuse.ring.compose`) or in slabs
+    (:func:`trfuse.ring.compose_slabs`). k_max = 0 returns the
+    initialization with an empty history. The heap the init freed is
+    returned to the OS before the loop (:func:`_release_freed_heap`).
+    Inputs that check_observations rejects raise ValueError before any work
+    starts; non-finite objectives or a collapsed estimate raise
+    SolverDivergenceError.
     """
     y, z = check_observations(y, z, model)
     if init_factors_override is not None:
@@ -485,8 +489,8 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
                              f"{(z.shape[0], z.shape[1], y.shape[2])}")
     else:
         f = initial_factors(y, z, cfg)
-        # the init's temporaries are freed; keep the loop and the final
-        # compose from growing the heap on top of them
+        # the init's temporaries are freed; keep the loop from growing the
+        # heap on top of them
         _release_freed_heap()
     cores = list(f.cores)
     consts = [block_constants(n, model, cfg) for n in range(3)]
@@ -519,4 +523,4 @@ def solve(y: np.ndarray, z: np.ndarray, model: DegradationModel,
             cg_capped=sum(1 for _, res in cg_log if res > cfg.cg_tol)))
         if rel < cfg.stop_tol:
             break
-    return FusionResult(fused=compose(f), factors=f, history=history)
+    return FusionResult(factors=f, history=history)

@@ -8,9 +8,11 @@ row-major (last index fastest) order. A 1x1x1 tensor is exactly
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -41,22 +43,54 @@ class TnsrDataError(TnsrError):
 
 
 def write_tnsr(path, t: np.ndarray) -> None:
-    t = np.asarray(t, dtype="<f8")
-    if not 1 <= t.ndim <= MAX_NDIM:
-        raise TnsrDimError(f"{t.ndim} modes outside supported range 1..{MAX_NDIM}")
-    if t.size == 0:
+    """Write ``t`` as a TNSR file: :func:`write_tnsr_slabs` with one slab."""
+    t = np.asarray(t)
+    write_tnsr_slabs(path, t.shape, (t,))
+
+
+def write_tnsr_slabs(path, shape: tuple[int, ...], slabs: Iterable[np.ndarray]
+                     ) -> None:
+    """Write a TNSR file of extents ``shape`` from its payload in slabs.
+
+    ``slabs`` yields consecutive row-major pieces of the tensor, each written
+    as it comes, so the whole tensor need never be held; a generator may
+    reuse one buffer for every slab. Each slab is checked for non-finite
+    values before it is written. The file is written under a temporary name
+    beside ``path`` and renamed onto it once complete, so a refused or
+    failed write leaves no partial file, and an older file at ``path`` stays
+    as it was.
+    """
+    shape = tuple(int(e) for e in shape)
+    if not 1 <= len(shape) <= MAX_NDIM:
+        raise TnsrDimError(f"{len(shape)} modes outside supported range 1..{MAX_NDIM}")
+    if 0 in shape:
         raise TnsrDimError("zero extent not representable")
-    if not np.all(np.isfinite(t)):
-        raise TnsrDataError("refusing to write non-finite values")
-    header = MAGIC + bytes([VERSION]) + struct.pack("<I", t.ndim)
-    header += struct.pack(f"<{t.ndim}Q", *t.shape)
+    expected = 8 * math.prod(shape)
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        # streamed from the array's buffer: no payload-sized copies
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(t).data)
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + bytes([VERSION]) + struct.pack(f"<I{len(shape)}Q",
+                                                            len(shape), *shape))
+            written = 0
+            for slab in slabs:
+                slab = np.ascontiguousarray(slab, dtype="<f8")
+                if not np.all(np.isfinite(slab)):
+                    raise TnsrDataError("refusing to write non-finite values")
+                # streamed from the slab's buffer: no payload-sized copies
+                fh.write(slab.data)
+                written += slab.nbytes
+        if written != expected:
+            raise TnsrDimError(f"slabs hold {written} payload bytes, extents "
+                               f"{shape} need {expected}")
+        os.replace(tmp, path)
     except OSError as exc:
         raise TnsrError(f"cannot write {path}: {exc}") from exc
+    finally:
+        # gone once renamed; otherwise the partial file a failure left
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def read_tnsr(path) -> np.ndarray:

@@ -237,8 +237,9 @@ def test_criterion_5_recovery_quality():
         "snr_y_db": None, "snr_z_db": None, "seed": 3})
     model, y, z = simulate_pair(gt, cfg)
     result = solve(y, z, model, cfg.solver)
-    rel_err = np.linalg.norm(result.fused - gt) / np.linalg.norm(gt)
-    ref255, est255 = rescale_pair(gt, result.fused)
+    fused = compose(result.factors)
+    rel_err = np.linalg.norm(fused - gt) / np.linalg.norm(gt)
+    ref255, est255 = rescale_pair(gt, fused)
     fused_psnr = psnr(ref255, est255)
     ref255, base255 = rescale_pair(gt, spectral_lift_baseline(z, model))
     base_psnr = psnr(ref255, base255)

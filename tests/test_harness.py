@@ -12,6 +12,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 import trfuse.cli
 import trfuse.harness
+import trfuse.ring
 import trfuse.solver
 from trfuse.cli import main
 from trfuse.config import ConfigError, parse_experiment_config
@@ -158,12 +160,14 @@ def test_run_fuse_full_outputs(gt_file, tmp_path):
 def test_run_fuse_releases_the_freed_heap_after_solve_and_scoring(
         gt_file, tmp_path, monkeypatch):
     out = tmp_path / "fused"
-    seen = []
+    seen, workers = [], []
     written = ("xhat.tnsr", "metrics.json", "error_tensor.tnsr", "baseline.json")
 
     class Libc:
         def malloc_trim(self, pad):
             seen.append((pad, *((out / name).exists() for name in written)))
+            workers.append(any(t.name == "trfuse-worker"
+                               for t in threading.enumerate()))
             return 1
 
     def stage(name, fn, before=False):
@@ -183,12 +187,12 @@ def test_run_fuse_releases_the_freed_heap_after_solve_and_scoring(
                         stage("loop", trfuse.solver._block_system, before=True))
     monkeypatch.setattr(trfuse.harness, "solve", stage("solved", trfuse.harness.solve))
     run_fuse(_base_config(gt_file), out)
-    # in solve right after the init, before the loop; once the solve
-    # returns, before any output; once the error cube is written, with both
-    # reports made, before the baseline's is written
-    nothing = (0, False, False, False, False)
-    assert seen == ["init", nothing, "loop", "solved", nothing,
-                    (0, True, True, True, False)]
+    # in solve right after the init, before the loop; once the worker is
+    # joined, with xhat.tnsr written and no report; once the error cube is
+    # written, with both reports made, before the baseline's is written
+    assert seen == ["init", (0, False, False, False, False), "loop", "solved",
+                    (0, True, False, False, False), (0, True, True, True, False)]
+    assert workers[1:] == [False, False]
 
 
 def _no_libc(name):
@@ -276,6 +280,80 @@ def test_run_fuse_scores_with_few_cubes_live(tmp_path, monkeypatch):
     assert growth["baseline"] < cube_bytes / 2
     assert growth["fused report made"] < cube_bytes / 2
     assert max(live.values()) < 3 * cube_bytes
+
+
+def _yz_config(tmp_path, gt, **over):
+    """A fuse config that reads y and z simulated from ``gt`` as files."""
+    model, y, z = simulate_pair(gt, _base_config("unused"))
+    write_tnsr(tmp_path / "y.tnsr", y)
+    write_tnsr(tmp_path / "z.tnsr", z)
+    raw = {"y": str(tmp_path / "y.tnsr"), "z": str(tmp_path / "z.tnsr"),
+           "factor": 2, "msi_bands": 4, "kernel_size": 3, "sigma": 1.0,
+           "ranks": [2, 3, 2], "k_max": 2, "seed": 0}
+    raw.update(over)
+    return parse_experiment_config(raw)
+
+
+def test_run_fuse_without_ground_truth_never_holds_the_fused_cube(
+        tmp_path, monkeypatch):
+    # the solve returns the ring and xhat.tnsr is written from its slabs, so
+    # from solve's return to run_fuse's no traced block of half the fused
+    # cube is live or made; y and z are smaller than that
+    gt = _phantom(dims=(128, 128, 32))
+    cfg = _yz_config(tmp_path, gt, k_max=1)
+    half = gt.nbytes // 2
+    del gt
+    at_return = {}
+
+    def solved(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        at_return["blocks"] = [t.size for t in tracemalloc.take_snapshot().traces
+                               if t.size >= half]
+        at_return["live"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return result
+
+    solve = trfuse.harness.solve
+    monkeypatch.setattr(trfuse.harness, "solve", solved)
+    tracemalloc.start()
+    try:
+        run_fuse(cfg, tmp_path / "fused")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert at_return["blocks"] == []
+    assert peak - at_return["live"] < half, (peak - at_return["live"], half)
+    assert read_tnsr(tmp_path / "fused" / "xhat.tnsr").nbytes == 2 * half
+
+
+@pytest.mark.parametrize("ranks", [(2, 3, 2), (6, 10, 6)],
+                         ids=["ranks-2-3-2", "ranks-6-10-6"])
+def test_xhat_is_the_composed_ring_bit_for_bit(tmp_path, monkeypatch, ranks):
+    # slabs of 5 of the 64 rows leave a remainder slab of 4; the writer and
+    # compose take the same products, so the file holds compose's bits,
+    # which the reports and the error cube read
+    gt = _phantom(dims=(64, 64, 16))
+    write_tnsr(tmp_path / "gt.tnsr", gt)
+    monkeypatch.setattr(trfuse.ring, "SLAB_BYTES", 5 * 64 * 16 * 8)
+    results = []
+
+    def solved(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    solve = trfuse.harness.solve
+    monkeypatch.setattr(trfuse.harness, "solve", solved)
+    out = tmp_path / "fused"
+    with warnings.catch_warnings():
+        # y's extents cannot carry ranks (6, 10, 6): the init clamps them
+        warnings.simplefilter("ignore")
+        run_fuse(_base_config(tmp_path / "gt.tnsr", ranks=list(ranks), k_max=2), out)
+    [result] = results
+    assert result.factors.ranks == ranks
+    fused = compose(result.factors)
+    assert read_tnsr(out / "xhat.tnsr").tobytes() == fused.tobytes()
+    assert (read_tnsr(out / "error_tensor.tnsr").tobytes()
+            == (fused - gt).tobytes())
 
 
 def test_run_fuse_without_ground_truth_skips_scoring(gt_file, tmp_path):

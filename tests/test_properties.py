@@ -154,7 +154,7 @@ def test_solve_from_a_clamped_init_is_finite_or_diverges_loudly(
             res = solve(y, z, model, cfg)
         except SolverDivergenceError:
             return
-    assert np.all(np.isfinite(res.fused))
+    assert np.all(np.isfinite(compose(res.factors)))
     assert res.factors.ranks == cfg.ranks
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import full_spectrum_ltnn_prox, full_spectrum_ltnn_value
-from trfuse.prox import (log_threshold_scalar, ltnn_prox, ltnn_value,
-                         soft_shrink_weighted, update_weights)
+from trfuse.prox import (_log_threshold, log_threshold_scalar, ltnn_prox,
+                         ltnn_value, soft_shrink_weighted, update_weights)
 from trfuse.ring import _pad_core
 
 
@@ -99,6 +99,20 @@ def test_log_threshold_monotone_in_input():
         grid = np.linspace(0, 6, 400)
         out = log_threshold_scalar(grid, t, eps)
         assert np.all(np.diff(out) > -1e-12)
+
+
+def test_log_threshold_kernel_is_the_scalar_threshold_bit_for_bit():
+    # the prox's gains call the unchecked kernel on nonnegative values; at
+    # eps = 0.5, t = 1 the value 1.5 puts c2 = (a - eps)² - 4(t - eps·a) at
+    # exactly 0, the edge of the zero branch, with its neighbours either side
+    rng = np.random.default_rng(3)
+    edge = np.array([np.nextafter(1.5, 0.0), 1.5, np.nextafter(1.5, 2.0)])
+    a = np.concatenate([edge, [0.0, 1e-300, 1e150], rng.uniform(0, 4, 200)])
+    for t, eps in ((1.0, 0.5), (0.3, 0.05), (0.0, 0.01), (2.0, 1e-2)):
+        got = _log_threshold(a, t, eps)
+        assert got.tobytes() == log_threshold_scalar(a, t, eps).tobytes(), (t, eps)
+    assert list(_log_threshold(edge, 1.0, 0.5)[:2]) == [0.0, 0.0]
+    assert _log_threshold(edge, 1.0, 0.5)[2] > 0.0
 
 
 def test_log_threshold_validation():

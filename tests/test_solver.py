@@ -6,6 +6,7 @@ and the whole block step against the property that exact factors are a fixed
 point when the nonsmooth terms are off.
 """
 
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import trfuse.ring
 import trfuse.solver
 
 from trfuse.degradation import DegradationModel, add_noise, degrade
@@ -194,7 +196,7 @@ def test_exact_factors_are_a_fixed_point_without_nonsmooth_terms():
                        k_max=3, inner_max=50, inner_tol=1e-12, cg_tol=1e-10,
                        cg_max=2000, stop_tol=1e-12)
     res = solve(y, z, model, cfg, init_factors_override=f)
-    dev = np.linalg.norm(res.fused - x) / np.linalg.norm(x)
+    dev = np.linalg.norm(compose(res.factors) - x) / np.linalg.norm(x)
     assert dev < 1e-8, f"deviation {dev}"
 
 
@@ -269,7 +271,7 @@ def test_k_max_zero_returns_composed_initialization():
         res = solve(y, z, model, cfg)
         want = compose(initial_factors(y, z, cfg))
     assert res.history == []
-    np.testing.assert_array_equal(res.fused, want)
+    np.testing.assert_array_equal(compose(res.factors), want)
 
 
 def test_solve_is_deterministic():
@@ -279,7 +281,7 @@ def test_solve_is_deterministic():
         warnings.simplefilter("ignore")
         a = solve(y, z, model, cfg)
         b = solve(y, z, model, cfg)
-    np.testing.assert_array_equal(a.fused, b.fused)
+    np.testing.assert_array_equal(compose(a.factors), compose(b.factors))
     assert [h.objective for h in a.history] == [h.objective for h in b.history]
     assert [h.rel_change for h in a.history] == [h.rel_change for h in b.history]
 
@@ -314,7 +316,7 @@ def test_rel_change_matches_the_composed_cubes():
         res = solve(y, z, model, SolverConfig(ranks=(2, 2, 2), k_max=k_max),
                     init_factors_override=init)
         assert len(res.history) == k_max
-        cubes.append(res.fused)
+        cubes.append(compose(res.factors))
     for h, prev, new in zip(res.history, cubes, cubes[1:]):
         want = np.linalg.norm(new - prev) / np.linalg.norm(new)
         assert abs(h.rel_change - want) <= 1e-8 * want, h.k
@@ -346,37 +348,48 @@ def test_objective_matches_the_cube_formed_oracle(case):
         assert abs(h.objective - want) <= 1e-9 * abs(want), (h.k, h.objective, want)
 
 
-def test_solve_composes_the_estimate_once(monkeypatch):
+def test_solve_composes_nothing(monkeypatch):
+    # the solve returns the ring; the caller composes the cube, whole or in
+    # slabs, so no trfuse module's binding of either is called
     f, x, model, y, z = _small_problem(noisy=True)
     calls = []
 
-    def counting(factors):
-        calls.append(factors.dims)
-        return compose(factors)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr("trfuse.solver.compose", counting)
+    for fn in (trfuse.ring.compose, trfuse.ring.compose_slabs):
+        for module in [m for name, m in sys.modules.items()
+                       if name == "trfuse" or name.startswith("trfuse.")]:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counting(fn))
     cfg = SolverConfig(ranks=(2, 2, 2), k_max=5, stop_tol=1e-12)
     res = solve(y, z, model, cfg,
                 init_factors_override=random_init(x.shape, (2, 2, 2), seed=4))
     assert len(res.history) == 5
-    assert calls == [x.shape]
+    assert calls == []
+    assert not hasattr(res, "fused")
 
 
 @pytest.mark.parametrize("k_max", [1, 6])
 def test_solve_allocates_no_observation_sized_array_after_the_init(monkeypatch,
                                                                     k_max):
-    # from the init to the final compose the loop reads y and z through
-    # views only, so no step grows the traced heap by half of y, which any
+    # from the init to solve's return the loop reads y and z through views
+    # only, so no step grows the traced heap by half of y, which any
     # unfolding of y (as large as y) would. The growth is taken per step,
-    # between the entries and exits of the solver's functions, so the
-    # constants a step keeps count once and never add up to the bound.
+    # between the entries and exits of the solver's functions, the last one
+    # ending at solve's return, so the constants a step keeps count once and
+    # never add up to the bound.
     dims = (128, 128, 64)
     model = DegradationModel.build(dims, factor=2, kernel_size=3, sigma=1.0,
                                    out_bands=3)
     y, z = degrade(compose(random_init(dims, (2, 2, 2), seed=4)), model)
     y, z = add_noise(y, 25.0, rng=5), add_noise(z, 30.0, rng=6)
     half_y = y.nbytes // 2
-    growth, start, loop = [], [], {}
+    growth, start = [], []
 
     def checkpoint():
         current, peak = tracemalloc.get_traced_memory()
@@ -394,26 +407,22 @@ def test_solve_allocates_no_observation_sized_array_after_the_init(monkeypatch,
             return out
         return step
 
-    def final_compose(factors):
-        checkpoint()
-        loop["growth"] = list(growth)
-        return compose(factors)
-
     for name in ("initial_factors", "block_constants", "_block_system",
                  "update_block", "objective"):
         monkeypatch.setattr(trfuse.solver, name, staged(getattr(trfuse.solver, name)))
-    monkeypatch.setattr(trfuse.solver, "compose", final_compose)
     cfg = SolverConfig(ranks=(2, 2, 2), k_max=k_max, stop_tol=1e-12)
     tracemalloc.start()
     try:
         res = solve(y, z, model, cfg)
+        checkpoint()
     finally:
         tracemalloc.stop()
     assert len(res.history) == k_max
     # every step after the init is measured: three block constants, then
-    # three systems, three updates and one objective per outer iteration
-    assert len(loop["growth"]) == 2 * (3 + 7 * k_max) + 1
-    assert max(loop["growth"]) < half_y, (max(loop["growth"]), half_y)
+    # three systems, three updates and one objective per outer iteration,
+    # then the return
+    assert len(growth) == 2 * (3 + 7 * k_max) + 1
+    assert max(growth) < half_y, (max(growth), half_y)
 
 
 def test_solve_raises_when_the_estimate_collapses():
@@ -492,7 +501,7 @@ def test_result_history_fields():
         warnings.simplefilter("ignore")
         res = solve(y, z, model, cfg)
     assert isinstance(res, FusionResult)
-    assert res.fused.shape == (8, 8, 6)
+    assert compose(res.factors).shape == (8, 8, 6)
     assert [h.k for h in res.history] == list(range(1, len(res.history) + 1))
     secs = [h.seconds for h in res.history]
     assert all(b >= a for a, b in zip(secs, secs[1:]))  # cumulative clock

@@ -7,7 +7,7 @@ import pytest
 
 from trfuse.tnsr import (TnsrDataError, TnsrDimError, TnsrError,
                          TnsrMagicError, TnsrTruncatedError, read_tnsr,
-                         write_tnsr)
+                         write_tnsr, write_tnsr_slabs)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -58,6 +58,47 @@ def test_payload_is_row_major(tmp_path):
     wide[:, :, ::2] = t
     write_tnsr(q, wide[:, :, ::2])
     assert q.read_bytes() == raw
+
+
+def test_slabs_write_the_bytes_of_the_whole(tmp_path):
+    t = np.random.default_rng(2).standard_normal((7, 3, 4))
+    whole, slabbed = tmp_path / "whole.tnsr", tmp_path / "slabbed.tnsr"
+    write_tnsr(whole, t)
+    write_tnsr_slabs(slabbed, t.shape, (t[i:i + 3] for i in range(0, 7, 3)))
+    assert slabbed.read_bytes() == whole.read_bytes()
+
+
+def test_refused_slabs_leave_no_partial_file(tmp_path):
+    # the file is renamed into place once whole: a refused or failed write
+    # leaves nothing at the path, or the older file there as it was
+    p = tmp_path / "x.tnsr"
+    bad = np.ones((2, 3, 4))
+    bad[1, 2, 3] = np.nan
+
+    def failing():
+        yield np.ones((2, 3, 4))
+        raise RuntimeError("slab failed")
+
+    refusals = ((TnsrDataError, lambda: iter([np.ones((2, 3, 4)), bad])),
+                (TnsrDimError, lambda: iter([np.ones((2, 3, 4))])),
+                (RuntimeError, failing))
+    for exc, slabs in refusals:
+        with pytest.raises(exc):
+            write_tnsr_slabs(p, (4, 3, 4), slabs())
+        assert list(tmp_path.iterdir()) == []
+    write_tnsr(p, np.full((1, 1, 1), 2.5))
+    older = p.read_bytes()
+    for exc, slabs in refusals:
+        with pytest.raises(exc):
+            write_tnsr_slabs(p, (4, 3, 4), slabs())
+        assert list(tmp_path.iterdir()) == [p]
+        assert p.read_bytes() == older
+    # a directory at the path fails the rename, which is reported
+    d = tmp_path / "d"
+    d.mkdir()
+    with pytest.raises(TnsrError, match="cannot write"):
+        write_tnsr_slabs(d, (4, 3, 4), iter([np.ones((4, 3, 4))]))
+    assert sorted(tmp_path.iterdir()) == [d, p] and list(d.iterdir()) == []
 
 
 def test_magic_and_version_errors(tmp_path):
